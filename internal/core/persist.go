@@ -125,9 +125,10 @@ func SaveCheckpointState(w io.Writer, m *Model, st *detect.StreamState, cursor i
 		Cursor:    cursor,
 		Analytics: analytics,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	// Compact, unlike Model.Save: the daemon rewrites checkpoints every
+	// few seconds, and indenting them cost a few percent of its CPU.
+	// LoadCheckpoint reads both forms.
+	return json.NewEncoder(w).Encode(out)
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint. The

@@ -146,6 +146,58 @@ func TestCheckpointRestoreByteIdenticalReport(t *testing.T) {
 	}
 }
 
+// TestCheckpointIndentedFormResumes pins checkpoint format compatibility:
+// checkpoints are written compact, and one in the older indented form
+// must still load and resume to byte-identical findings.
+func TestCheckpointIndentedFormResumes(t *testing.T) {
+	m := trainMini(t)
+	cfg := detect.StreamConfig{IdleTimeout: time.Minute, MaxSessionMsgs: 32}
+	recs := checkpointCorpus()
+	cut := len(recs) / 2
+	sd := detect.NewStream(m.Detector(), cfg)
+	for _, r := range recs[:cut] {
+		sd.Consume(r)
+	}
+	var compact bytes.Buffer
+	if err := SaveCheckpointAt(&compact, m, sd.State(), int64(cut)); err != nil {
+		t.Fatalf("SaveCheckpointAt: %v", err)
+	}
+	if n := bytes.Count(compact.Bytes(), []byte("\n")); n != 1 {
+		t.Fatalf("checkpoint spans %d lines, want one compact line", n)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact.Bytes(), "", " "); err != nil {
+		t.Fatalf("indent: %v", err)
+	}
+
+	resume := func(ckpt []byte) string {
+		t.Helper()
+		m2, st, cursor, err := LoadCheckpointAt(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatalf("LoadCheckpointAt: %v", err)
+		}
+		sd2, err := m2.RestoreStream(cfg, st)
+		if err != nil {
+			t.Fatalf("RestoreStream: %v", err)
+		}
+		var all []detect.Anomaly
+		for _, r := range recs[cursor:] {
+			all = append(all, sd2.Consume(r)...)
+		}
+		rep := sd2.Flush()
+		all = append(all, rep.Anomalies...)
+		raw, err := json.Marshal(all)
+		if err != nil {
+			t.Fatalf("marshal findings: %v", err)
+		}
+		return string(raw) + rep.Summary()
+	}
+	want := resume(compact.Bytes())
+	if got := resume(indented.Bytes()); got != want {
+		t.Errorf("indented checkpoint resumes differently:\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
 func TestCheckpointCursorRoundTrip(t *testing.T) {
 	m := trainMini(t)
 	sd := detect.NewStream(m.Detector(), detect.StreamConfig{})

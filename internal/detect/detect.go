@@ -237,10 +237,12 @@ type sessionScratch struct {
 	// cache: message → (key, memo) with no lock, no atomics and no LRU
 	// bookkeeping on a hit. Detection streams repeat a few thousand
 	// distinct renderings, so nearly every record resolves here; the
-	// shared cache only sees each rendering once per scratch epoch.
-	// Bounded by l1ResolveCap with wholesale reset (the map is cheap to
-	// refill from the shared cache). l1Hits accumulates the hits counted
-	// locally; putScratch flushes them to the shared cache's counter.
+	// shared cache only sees each rendering once per scratch epoch. It
+	// holds only memos the shared cache holds too (a hit or an admitted
+	// Offer), so one-shot renderings never enter it. Bounded by
+	// l1ResolveCap with wholesale reset (the map is cheap to refill from
+	// the shared cache). l1Hits accumulates the hits counted locally;
+	// putScratch flushes them to the shared cache's counter.
 	l1     map[string]resolveMemo
 	l1Hits uint64
 }
@@ -253,10 +255,12 @@ type resolveMemo struct {
 	cl  *extract.CachedLookup
 }
 
-// l1ResolveCap bounds a worker's private resolve memo; at a few hundred
-// bytes per entry the worst case stays a few MB per worker. It must
-// comfortably exceed a stream's distinct-rendering working set (the
-// evaluation corpora run ~10k) or the wholesale reset thrashes.
+// l1ResolveCap bounds a worker's private resolve memo. Each entry pins a
+// memo of about 1.4 KB (token split plus bound prototype), normally the
+// same one the shared cache holds, so a full L1 can keep about 45 MB
+// alive once the shared cache has evicted those memos. It must
+// comfortably exceed a stream's repeating working set (the evaluation
+// corpora run ~10k) or the wholesale reset thrashes.
 const l1ResolveCap = 1 << 15
 
 // groupBucket collects one entity group's messages within one session.
@@ -327,20 +331,44 @@ func NewDetector(p *spell.Parser, keys map[int]*extract.IntelKey, keyGroups map[
 // costs a cache probe, and binding it one shallow copy. The returned memo
 // is shared and read-only.
 func (d *Detector) lookupRecord(rec *logging.Record) (key *spell.Key, cl *extract.CachedLookup) {
-	if d.Cache != nil {
-		if k, aux, hit := d.Cache.GetAux(rec.Message); hit {
-			if cl, ok := aux.(*extract.CachedLookup); ok && cl != nil {
-				return k, cl
-			}
-			// Entry without a memo (added via plain Add): rebuild it.
-		}
+	key, cl, _ = d.resolve(rec)
+	return key, cl
+}
+
+// resolve is lookupRecord reporting whether the memo is in the shared
+// cache, which only then may also enter a worker's L1. A miss is offered
+// to the cache, which stores it only on the rendering's second sighting
+// (admit-on-repeat), so a one-shot rendering is resolved, used and
+// dropped.
+func (d *Detector) resolve(rec *logging.Record) (key *spell.Key, cl *extract.CachedLookup, shared bool) {
+	if d.Cache == nil {
+		key, cl = d.build(rec.Message)
+		return key, cl, false
 	}
-	tokens := nlp.Tokenize(rec.Message)
+	k, aux, hit := d.Cache.GetAux(rec.Message)
+	if hit {
+		if cl, ok := aux.(*extract.CachedLookup); ok && cl != nil {
+			return k, cl, true
+		}
+		// Entry without a memo (added via plain Add): the rendering is
+		// already cached, so store the rebuilt memo outright.
+		key, cl = d.build(rec.Message)
+		d.Cache.AddAux(rec.Message, key, cl)
+		return key, cl, true
+	}
+	key, cl = d.build(rec.Message)
+	return key, cl, d.Cache.Offer(rec.Message, key, cl)
+}
+
+// build tokenizes, looks up and binds one raw message: the uncached
+// resolution that resolve memoizes.
+func (d *Detector) build(msg string) (key *spell.Key, cl *extract.CachedLookup) {
+	tokens := nlp.Tokenize(msg)
 	key = d.Parser.Lookup(nlp.Texts(tokens))
 	cl = &extract.CachedLookup{Tokens: tokens}
 	if key != nil {
 		if ik := d.Keys[key.ID]; ik != nil && ik.NaturalLanguage {
-			cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", rec.Message)
+			cl.Proto = extract.Bind(ik, tokens, time.Time{}, "", msg)
 			cl.Proto.IdentifierSet()
 			cl.Proto.IdentifierTypes()
 			cl.Proto.TypeSignature() // precompute; shared by every copy
@@ -353,10 +381,7 @@ func (d *Detector) lookupRecord(rec *logging.Record) (key *spell.Key, cl *extrac
 		// anomaly, so precompute the ad-hoc extraction once here instead of
 		// once per record in unexpected (which used to dominate the
 		// allocation profile on anomaly-heavy streams).
-		d.buildAdhoc(rec.Message, cl)
-	}
-	if d.Cache != nil {
-		d.Cache.AddAux(rec.Message, key, cl)
+		d.buildAdhoc(msg, cl)
 	}
 	return key, cl
 }
@@ -370,7 +395,10 @@ func (d *Detector) lookupRecordScr(rec *logging.Record, scr *sessionScratch) (*s
 		scr.l1Hits++
 		return m.key, m.cl
 	}
-	key, cl := d.lookupRecord(rec)
+	key, cl, shared := d.resolve(rec)
+	if !shared {
+		return key, cl
+	}
 	if scr.l1 == nil {
 		scr.l1 = make(map[string]resolveMemo, 1024)
 	} else if len(scr.l1) >= l1ResolveCap {

@@ -234,3 +234,57 @@ func TestDetectParallelDeterministic(t *testing.T) {
 		t.Errorf("Detect diverges from serial DetectParallel")
 	}
 }
+
+// TestResolveAdmitsOnRepeat pins admit-on-repeat in the resolve path: a
+// stream of one-shot renderings leaves the shared cache and the worker L1
+// empty, while a repeated rendering is admitted on its second sighting
+// and hits from then on.
+func TestResolveAdmitsOnRepeat(t *testing.T) {
+	d := fixture(t)
+	s := NewStream(d, StreamConfig{})
+	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
+	recs := make([]logging.Record, 0, 1000)
+	for i := 0; i < 50000; i++ {
+		recs = append(recs, logging.Record{
+			SessionID: fmt.Sprintf("s%d", i%100), Time: t0.Add(time.Duration(i) * time.Millisecond),
+			Message: fmt.Sprintf("Registering worker node_%d", i), Level: logging.Info,
+		})
+		if len(recs) == cap(recs) {
+			s.ConsumeBatch(recs, 2)
+			recs = recs[:0]
+		}
+	}
+	s.Flush()
+	if n := d.Cache.Len(); n > 4 {
+		t.Fatalf("Cache.Len = %d after 50k one-shot renderings, want ~0", n)
+	}
+
+	scr := d.getScratch()
+	for i := 0; i < 1000; i++ {
+		rec := logging.Record{SessionID: "u", Message: fmt.Sprintf("Registered worker node_%d", i)}
+		if key, cl := d.lookupRecordScr(&rec, scr); key == nil || cl.Proto == nil {
+			t.Fatalf("%q did not bind", rec.Message)
+		}
+	}
+	if n := len(scr.l1); n > 4 {
+		t.Fatalf("L1 holds %d entries after one-shot renderings, want ~0", n)
+	}
+	hits0, _ := d.Cache.Stats()
+	rep := logging.Record{SessionID: "r", Message: "Registered worker node_07"}
+	for i := 0; i < 10; i++ {
+		d.lookupRecordScr(&rep, scr)
+	}
+	if _, ok := scr.l1[rep.Message]; !ok {
+		t.Fatal("repeated rendering not admitted to the L1")
+	}
+	if _, hit := d.Cache.Get(rep.Message); !hit {
+		t.Fatal("repeated rendering not admitted to the shared cache")
+	}
+	d.putScratch(scr)
+	// The first two sightings miss (the second is admitted); the other
+	// eight hit the L1 and are flushed to the shared counter, plus the
+	// Get above.
+	if hits, _ := d.Cache.Stats(); hits-hits0 != 9 {
+		t.Fatalf("hits = %d, want 9", hits-hits0)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,28 +371,61 @@ func TestStreamConcurrentConsume(t *testing.T) {
 	d := fixture(t)
 	s := NewStream(d, StreamConfig{IdleTimeout: time.Minute, MaxSessions: 64, MaxSessionMsgs: 16})
 	t0 := time.Date(2019, 3, 2, 9, 0, 0, 0, time.UTC)
+	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	found := make([][]Anomaly, writers)
+	lastAt := make([]map[string]time.Time, writers)
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			last := map[string]time.Time{}
+			for i := 0; i < perWriter; i++ {
 				id := fmt.Sprintf("w%d-s%d", w, i)
 				at := t0.Add(time.Duration(i) * time.Second)
-				s.Consume(streamRec(id, "Registering worker node_07", at))
-				s.Consume(streamRec(id, "Totally novel failure on host8:1234", at.Add(time.Millisecond)))
-				s.Consume(streamRec(id, "Registered worker node_07", at.Add(2*time.Millisecond)))
+				found[w] = append(found[w], s.Consume(streamRec(id, "Registering worker node_07", at))...)
+				found[w] = append(found[w], s.Consume(streamRec(id, "Totally novel failure on host8:1234", at.Add(time.Millisecond)))...)
+				found[w] = append(found[w], s.Consume(streamRec(id, "Registered worker node_07", at.Add(2*time.Millisecond)))...)
+				last[id] = at.Add(2 * time.Millisecond)
 				if i%7 == 0 {
-					s.CloseSession(id)
+					found[w] = append(found[w], s.CloseSession(id)...)
 				}
 				_ = s.Pending()
 			}
+			lastAt[w] = last
 		}(w)
 	}
 	wg.Wait()
 	rep := s.Flush()
-	if rep.Sessions != 8*40 {
-		t.Errorf("Sessions = %d, want %d", rep.Sessions, 8*40)
+	// Per-shard cap eviction can force-close a session its producer is
+	// still writing; the next record re-opens it, and Report.Sessions
+	// counts re-opens. A force-close stamped before the session's last
+	// record time is exactly such a cut, so each one adds one session.
+	// The evicting Consume may belong to any writer, so match anomalies
+	// against every writer's sessions.
+	last := map[string]time.Time{}
+	for _, m := range lastAt {
+		for id, at := range m {
+			last[id] = at
+		}
+	}
+	reopened := 0
+	for _, as := range found {
+		for _, a := range as {
+			if a.Kind != Overflow || !strings.Contains(a.Detail, "force-closed") {
+				continue
+			}
+			at, ok := last[a.Session]
+			if !ok {
+				t.Fatalf("force-close of unknown session %q", a.Session)
+			}
+			if a.At.Before(at) {
+				reopened++
+			}
+		}
+	}
+	if want := writers*perWriter + reopened; rep.Sessions != want {
+		t.Errorf("Sessions = %d, want %d (%d distinct + %d re-opened after a force-close)", rep.Sessions, want, writers*perWriter, reopened)
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d after flush", s.Pending())

@@ -25,6 +25,14 @@ func NewValueInterner() *ValueInterner {
 	return &ValueInterner{ids: map[string]int32{}}
 }
 
+// Len returns the number of distinct values interned so far. Ids are
+// permanent, so it only grows.
+func (vi *ValueInterner) Len() int {
+	vi.mu.Lock()
+	defer vi.mu.Unlock()
+	return len(vi.ids)
+}
+
 // InternMessage computes and caches the message's interned identifier
 // set. Call at prototype build time, while the message is still private
 // to one goroutine. Messages without identifiers are left untouched.

@@ -563,17 +563,28 @@ func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("intellogd_anomaly_log_size",
 		"anomalies retained in the query window per tenant",
 		perTenant(func(t *tenant) float64 { return float64(t.sink.len()) }))
-	s.reg.GaugeFunc("intellogd_lookup_cache_hits",
+	s.reg.CounterFunc("intellogd_lookup_cache_hits",
 		"model lookup-cache hits per tenant",
 		perTenant(func(t *tenant) float64 {
 			h, _ := t.det.Cache.Stats()
 			return float64(h)
 		}))
-	s.reg.GaugeFunc("intellogd_lookup_cache_misses",
+	s.reg.CounterFunc("intellogd_lookup_cache_misses",
 		"model lookup-cache misses per tenant",
 		perTenant(func(t *tenant) float64 {
 			_, m := t.det.Cache.Stats()
 			return float64(m)
+		}))
+	s.reg.GaugeFunc("intellogd_lookup_cache_entries",
+		"renderings held by the model lookup cache per tenant",
+		perTenant(func(t *tenant) float64 { return float64(t.det.Cache.Len()) }))
+	s.reg.GaugeFunc("intellogd_value_interner_values",
+		"identifier values interned by the model per tenant (never shrinks)",
+		perTenant(func(t *tenant) float64 {
+			if t.det.Values == nil {
+				return 0
+			}
+			return float64(t.det.Values.Len())
 		}))
 	s.reg.CounterFunc("intellogd_wal_replayed_records",
 		"records recovered from the write-ahead log at tenant boot",

@@ -408,7 +408,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`intellogd_resident_tenants 1`,
 		"# TYPE intellogd_ingest_records_total counter",
 		"# TYPE intellogd_pending_sessions gauge",
-		"intellogd_lookup_cache_hits",
+		"# TYPE intellogd_lookup_cache_hits counter",
+		"# TYPE intellogd_lookup_cache_misses counter",
+		"# TYPE intellogd_lookup_cache_entries gauge",
+		`intellogd_value_interner_values{tenant="acme"} 0`,
 		"intellogd_uptime_seconds",
 	} {
 		if !strings.Contains(text, want) {

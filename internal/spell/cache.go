@@ -2,6 +2,7 @@ package spell
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -16,6 +17,15 @@ import (
 // unmatched for as long as the parser's keys are fixed, and anomaly
 // streams tend to repeat the same unexpected message.
 //
+// Most distinct renderings of a live stream occur exactly once, because
+// they carry task, attempt or block IDs, and caching those only retains
+// memory that never pays back. Offer therefore admits on repeat: a
+// rendering's first offer records only its 8-byte hash in a fixed,
+// direct-mapped doorkeeper table, and the entry is stored when a later
+// offer finds that hash still in its slot. AddAux stays unconditional
+// for callers that know every rendering will repeat (training's warm
+// fill).
+//
 // The cache is only sound while the parser's keys are no longer being
 // refined — i.e. after training, which is exactly when BindSession and
 // the detectors run. It is safe for concurrent use; hits take only a
@@ -29,6 +39,13 @@ type LookupCache struct {
 	m            map[string]*list.Element
 	len          atomic.Int64 // mirrors ll.Len() for lock-free reads
 	hits, misses atomic.Uint64
+
+	// door is the admission doorkeeper: one maphash hash per slot,
+	// indexed by the hash's low bits. It is pointer-free, so the GC never
+	// scans it, and lock-free; a racing or colliding offer can only delay
+	// or hasten one admission, never corrupt an entry.
+	seed maphash.Seed
+	door []atomic.Uint64
 }
 
 // cacheEntry is one LRU node.
@@ -43,19 +60,30 @@ type cacheEntry struct {
 
 // DefaultLookupCacheSize bounds a cache built with capacity ≤ 0. 64k
 // distinct renderings cover the working set of every corpus in the
-// evaluation with room to spare, at a few MB worst case.
+// evaluation with room to spare. An entry costs about 1.4 KB with the
+// detector's memo attached (token split plus bound prototype), so a full
+// cache holds about 90 MB; admit-on-repeat keeps one-shot renderings from
+// filling it.
 const DefaultLookupCacheSize = 1 << 16
 
 // NewLookupCache returns an empty cache holding at most capacity distinct
-// messages; capacity ≤ 0 uses DefaultLookupCacheSize.
+// messages; capacity ≤ 0 uses DefaultLookupCacheSize. The doorkeeper gets
+// the next power of two at or above twice the capacity in slots (128k
+// slots, 1 MB, at the default).
 func NewLookupCache(capacity int) *LookupCache {
 	if capacity <= 0 {
 		capacity = DefaultLookupCacheSize
 	}
+	slots := 1
+	for slots < 2*capacity {
+		slots <<= 1
+	}
 	return &LookupCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[string]*list.Element, 1024),
+		cap:  capacity,
+		ll:   list.New(),
+		m:    make(map[string]*list.Element, 1024),
+		seed: maphash.MakeSeed(),
+		door: make([]atomic.Uint64, slots),
 	}
 }
 
@@ -131,6 +159,22 @@ func (c *LookupCache) AddHits(n uint64) {
 // Add records the lookup result for msg (key may be nil), evicting the
 // least recently used entry when full.
 func (c *LookupCache) Add(msg string, key *Key) { c.AddAux(msg, key, nil) }
+
+// Offer is AddAux under admit-on-repeat: it stores the entry only if
+// msg's hash already sits in its doorkeeper slot, that is, if msg was
+// offered before and no other rendering has claimed the slot since.
+// Otherwise it records the hash and stores nothing. stored reports
+// whether the entry is now in the cache.
+func (c *LookupCache) Offer(msg string, key *Key, aux any) (stored bool) {
+	h := maphash.String(c.seed, msg)
+	slot := &c.door[h&uint64(len(c.door)-1)]
+	if slot.Load() != h {
+		slot.Store(h)
+		return false
+	}
+	c.AddAux(msg, key, aux)
+	return true
+}
 
 // AddAux is Add attaching an opaque aux value to the entry.
 func (c *LookupCache) AddAux(msg string, key *Key, aux any) {

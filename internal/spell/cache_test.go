@@ -204,3 +204,75 @@ func TestLookupCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLookupCacheOfferAdmitsOnRepeat pins the admission contract: a
+// rendering's first Offer stores nothing, its second stores the entry,
+// and AddAux stays unconditional.
+func TestLookupCacheOfferAdmitsOnRepeat(t *testing.T) {
+	c := spell.NewLookupCache(64)
+	k := &spell.Key{ID: 1}
+	if c.Offer("m", k, "memo") {
+		t.Fatal("first Offer reported stored")
+	}
+	if _, hit := c.Get("m"); hit {
+		t.Fatal("first Offer stored the entry")
+	}
+	if !c.Offer("m", k, "memo") {
+		t.Fatal("second Offer not stored")
+	}
+	if got, aux, hit := c.GetAux("m"); !hit || got != k || aux != "memo" {
+		t.Fatalf("admitted entry = (%v, %v, %v), want key+aux hit", got, aux, hit)
+	}
+	c.AddAux("warm", nil, "fill")
+	if _, aux, hit := c.GetAux("warm"); !hit || aux != "fill" {
+		t.Fatalf("AddAux entry = (%v, %v), want an unconditional store", aux, hit)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
+// TestLookupCacheOfferUniqueStaysEmpty offers many distinct renderings
+// once each: none may be retained.
+func TestLookupCacheOfferUniqueStaysEmpty(t *testing.T) {
+	c := spell.NewLookupCache(1024)
+	for i := 0; i < 50000; i++ {
+		if c.Offer(fmt.Sprintf("task_%d finished", i), nil, i) {
+			t.Fatalf("unique offer %d stored", i)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after unique offers, want 0", c.Len())
+	}
+}
+
+// TestLookupCacheOfferConcurrent races Offer, GetAux and AddAux over a
+// shared mix of repeating and one-shot renderings; under -race it proves
+// the doorkeeper's lock-free slots. Every hot rendering is offered many
+// times, so it must end up admitted.
+func TestLookupCacheOfferConcurrent(t *testing.T) {
+	c := spell.NewLookupCache(1024)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				hot := fmt.Sprintf("hot%d", i%16)
+				if _, _, hit := c.GetAux(hot); !hit {
+					c.Offer(hot, nil, i)
+				}
+				c.Offer(fmt.Sprintf("once%d-%d", w, i), nil, i)
+				if i%50 == 0 {
+					c.AddAux(fmt.Sprintf("warm%d", i), nil, i)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < 16; i++ {
+		if _, hit := c.Get(fmt.Sprintf("hot%d", i)); !hit {
+			t.Errorf("hot%d never admitted", i)
+		}
+	}
+}
