@@ -240,7 +240,7 @@ func TestStreamCheckpointModelMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveCheckpointAt(f, m, st, 3); err != nil {
+	if err := core.SaveCheckpointState(f, m, st, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

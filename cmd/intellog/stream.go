@@ -100,12 +100,12 @@ func cmdStream(args []string) error {
 	if *checkpoint != "" {
 		if f, err := os.Open(*checkpoint); err == nil {
 			var st *detect.StreamState
-			m, st, cursor, err = core.LoadCheckpointAt(f)
+			m, st, cursor, _, err = core.LoadCheckpointState(f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("resume %s: %w", *checkpoint, err)
 			}
-			sd, err = m.RestoreStream(cfg, st)
+			sd, err = detect.RestoreStreamDetector(m.Detector(), cfg, st)
 			if err != nil {
 				return fmt.Errorf("resume %s: %w", *checkpoint, err)
 			}
@@ -170,21 +170,9 @@ func cmdStream(args []string) error {
 		}
 	}
 	saveCheckpoint := func(at int64) error {
-		tmp := *checkpoint + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
 		st := sd.State()
 		st.Sticky = assigner.Current()
-		if err := core.SaveCheckpointAt(f, m, st, at); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp, *checkpoint)
+		return core.WriteCheckpointFile(*checkpoint, m, st, at, nil)
 	}
 
 	lines, skipped, consumed := 0, 0, 0

@@ -48,7 +48,7 @@ func main() {
 		maxSess    = flag.Int("max-sessions", 0, "in-flight session cap per tenant (0 unbounded)")
 		maxMsgs    = flag.Int("max-msgs", 0, "per-session buffered message cap (0 unbounded)")
 		shards     = flag.Int("shards", 0, "stream detector shards per tenant (0 = default)")
-		framework  = flag.String("framework", "spark", "default framework for records that carry none: spark | mapreduce | tez")
+		framework  = flag.String("framework", "spark", "default framework for records that carry none: spark | mapreduce | tez | yarn | nova-compute | tensorflow | flink | hdfs | yarn-rm")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "in-flight HTTP request drain budget on shutdown")
 
 		walOn       = flag.Bool("wal", true, "write-ahead-log acked batches (needs -state; crash recovery replays the un-checkpointed suffix)")

@@ -90,8 +90,9 @@ type Pool struct {
 	outstanding atomic.Int64  // live batches (Get minus Release)
 	leaked      atomic.Uint64 // dropped-without-Release batches (leak-detect mode)
 
-	mu         sync.Mutex
-	leakReport func(recordCap int) // test hook, set by DetectLeaks
+	// leakReport is the test-only leak hook set by DetectLeaks; an atomic
+	// pointer so Get reads it without a pool-wide lock.
+	leakReport atomic.Pointer[func(recordCap int)]
 
 	recordCap int
 	shardCap  int
@@ -233,19 +234,14 @@ func (p *Pool) Stats() Stats {
 // lifecycle, which the hot path must not pay; production leak visibility
 // is the Outstanding gauge instead.
 func (p *Pool) DetectLeaks(report func(recordCap int)) {
-	p.mu.Lock()
 	if report == nil {
 		report = func(int) {}
 	}
-	p.leakReport = report
-	p.mu.Unlock()
+	p.leakReport.Store(&report)
 }
 
 func (p *Pool) armCanary(b *Batch) {
-	p.mu.Lock()
-	report := p.leakReport
-	p.mu.Unlock()
-	if report == nil {
+	if p.leakReport.Load() == nil {
 		return
 	}
 	if b.canary == nil {
@@ -255,12 +251,9 @@ func (p *Pool) armCanary(b *Batch) {
 	runtime.SetFinalizer(b.canary, func(c *leakCanary) {
 		c.pool.leaked.Add(1)
 		c.pool.outstanding.Add(-1)
-		c.pool.mu.Lock()
-		rep := c.pool.leakReport
-		c.pool.mu.Unlock()
-		if rep != nil {
-			rep(c.capa)
-		}
+		// Non-nil: a canary is armed only after DetectLeaks, which
+		// nothing undoes.
+		(*c.pool.leakReport.Load())(c.capa)
 	})
 }
 

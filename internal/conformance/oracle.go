@@ -109,17 +109,17 @@ func ResumePath(m *core.Model, recs []logging.Record, cut int) (*detect.Report, 
 	}
 
 	var buf bytes.Buffer
-	if err := core.SaveCheckpointAt(&buf, m, first.State(), int64(cut)); err != nil {
+	if err := core.SaveCheckpointState(&buf, m, first.State(), int64(cut), nil); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	m2, st, cursor, err := core.LoadCheckpointAt(&buf)
+	m2, st, cursor, _, err := core.LoadCheckpointState(&buf)
 	if err != nil {
 		return nil, fmt.Errorf("reload checkpoint: %w", err)
 	}
 	if cursor != int64(cut) {
 		return nil, fmt.Errorf("checkpoint cursor %d, want %d", cursor, cut)
 	}
-	second, err := m2.RestoreStream(detect.StreamConfig{}, st)
+	second, err := detect.RestoreStreamDetector(m2.Detector(), detect.StreamConfig{}, st)
 	if err != nil {
 		return nil, fmt.Errorf("restore stream: %w", err)
 	}

@@ -29,7 +29,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		sd.Consume(r)
 	}
 	var seed bytes.Buffer
-	if err := SaveCheckpointAt(&seed, m, sd.State(), 4); err != nil {
+	if err := SaveCheckpointState(&seed, m, sd.State(), 4, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -41,8 +41,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) The loader never panics; a checkpoint that decodes must
 		// either restore or be rejected with an error.
-		if m2, st, _, err := LoadCheckpointAt(bytes.NewReader(data)); err == nil {
-			if sd2, err := m2.RestoreStream(detect.StreamConfig{}, st); err == nil {
+		if m2, st, _, _, err := LoadCheckpointState(bytes.NewReader(data)); err == nil {
+			if sd2, err := detect.RestoreStreamDetector(m2.Detector(), detect.StreamConfig{}, st); err == nil {
 				sd2.Flush()
 			}
 		}
@@ -70,14 +70,14 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			combined = append(combined, first.Consume(r)...)
 		}
 		var buf bytes.Buffer
-		if err := SaveCheckpointAt(&buf, m, first.State(), int64(cut)); err != nil {
+		if err := SaveCheckpointState(&buf, m, first.State(), int64(cut), nil); err != nil {
 			t.Fatalf("checkpoint at %d: %v", cut, err)
 		}
-		m2, st, cursor, err := LoadCheckpointAt(&buf)
+		m2, st, cursor, _, err := LoadCheckpointState(&buf)
 		if err != nil {
 			t.Fatalf("reload checkpoint: %v", err)
 		}
-		second, err := m2.RestoreStream(detect.StreamConfig{}, st)
+		second, err := detect.RestoreStreamDetector(m2.Detector(), detect.StreamConfig{}, st)
 		if err != nil {
 			t.Fatalf("restore stream: %v", err)
 		}

@@ -124,17 +124,12 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 	}
 }
 
-// BindSession converts a session's records to Intel Messages using the
-// trained keys, skipping unmatched and non-NL messages.
-func BindSession(parser *spell.Parser, keys map[int]*extract.IntelKey, s *logging.Session) []*extract.Message {
-	return BindSessionCached(parser, keys, nil, s)
-}
-
-// BindSessionCached is BindSession with a raw-message lookup cache: the
-// first occurrence of a rendering tokenizes, looks up and binds as usual
-// and caches the result; every repeat either skips the record outright
-// (unmatched or non-NL key) or shallow-copies the cached bound prototype.
-// cache may be nil.
+// BindSessionCached converts a session's records to Intel Messages using
+// the trained keys, skipping unmatched and non-NL messages. With a
+// raw-message lookup cache, the first occurrence of a rendering
+// tokenizes, looks up and binds as usual and caches the result; every
+// repeat either skips the record outright (unmatched or non-NL key) or
+// shallow-copies the cached bound prototype. cache may be nil.
 func BindSessionCached(parser *spell.Parser, keys map[int]*extract.IntelKey, cache *spell.LookupCache, s *logging.Session) []*extract.Message {
 	var msgs []*extract.Message
 	var rb extract.Rebinder

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"intellog/internal/detect"
 	"intellog/internal/extract"
@@ -102,21 +104,11 @@ type checkpointJSON struct {
 // checkpointVersion guards checkpoint format compatibility.
 const checkpointVersion = 1
 
-// SaveCheckpoint writes a streaming checkpoint: the model and the
-// in-flight state of its stream detector (from StreamDetector.State).
-func SaveCheckpoint(w io.Writer, m *Model, st *detect.StreamState) error {
-	return SaveCheckpointAt(w, m, st, 0)
-}
-
-// SaveCheckpointAt is SaveCheckpoint with an input-stream cursor (see
-// checkpointJSON.Cursor); zero means "resume from wherever the caller's
-// input begins".
-func SaveCheckpointAt(w io.Writer, m *Model, st *detect.StreamState, cursor int64) error {
-	return SaveCheckpointState(w, m, st, cursor, nil)
-}
-
-// SaveCheckpointState is SaveCheckpointAt with an opaque serving-layer
-// analytics payload (see checkpointJSON.Analytics); nil omits it.
+// SaveCheckpointState writes a streaming checkpoint: the model, the
+// in-flight state of its stream detector (from StreamDetector.State), an
+// input-stream cursor (see checkpointJSON.Cursor; zero means "resume from
+// wherever the caller's input begins") and an opaque serving-layer
+// analytics payload (see checkpointJSON.Analytics; nil omits it).
 func SaveCheckpointState(w io.Writer, m *Model, st *detect.StreamState, cursor int64, analytics []byte) error {
 	out := checkpointJSON{
 		Version:   checkpointVersion,
@@ -127,26 +119,15 @@ func SaveCheckpointState(w io.Writer, m *Model, st *detect.StreamState, cursor i
 	}
 	// Compact, unlike Model.Save: the daemon rewrites checkpoints every
 	// few seconds, and indenting them cost a few percent of its CPU.
-	// LoadCheckpoint reads both forms.
+	// LoadCheckpointState reads both forms.
 	return json.NewEncoder(w).Encode(out)
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint. The
-// returned stream state is handed to RestoreStream (or directly to
-// detect.RestoreStreamDetector) to resume consumption.
-func LoadCheckpoint(r io.Reader) (*Model, *detect.StreamState, error) {
-	m, st, _, err := LoadCheckpointAt(r)
-	return m, st, err
-}
-
-// LoadCheckpointAt is LoadCheckpoint plus the stored input cursor.
-func LoadCheckpointAt(r io.Reader) (*Model, *detect.StreamState, int64, error) {
-	m, st, cursor, _, err := LoadCheckpointState(r)
-	return m, st, cursor, err
-}
-
-// LoadCheckpointState is LoadCheckpointAt plus the opaque analytics
-// payload; nil when the checkpoint predates the analytics layer.
+// LoadCheckpointState restores a checkpoint written by
+// SaveCheckpointState: the model, the stream state to hand to
+// detect.RestoreStreamDetector, the stored input cursor, and the
+// analytics payload (nil when the checkpoint predates the analytics
+// layer).
 func LoadCheckpointState(r io.Reader) (*Model, *detect.StreamState, int64, []byte, error) {
 	var in checkpointJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -165,8 +146,49 @@ func LoadCheckpointState(r io.Reader) (*Model, *detect.StreamState, int64, []byt
 	return m, in.Stream, in.Cursor, in.Analytics, nil
 }
 
-// RestoreStream rebuilds the model's streaming detector from checkpoint
-// state, replaying buffered records through the model.
-func (m *Model) RestoreStream(cfg detect.StreamConfig, st *detect.StreamState) (*detect.StreamDetector, error) {
-	return detect.RestoreStreamDetector(m.Detector(), cfg, st)
+// fileSync flushes a file (or directory) to stable storage; a variable
+// so the checkpoint fault-injection test can simulate a dying disk.
+var fileSync = func(f *os.File) error { return f.Sync() }
+
+// WriteCheckpointFile writes a SaveCheckpointState checkpoint to path
+// atomically and durably: the temp file is fsynced before the rename
+// and the parent directory after it, so a power loss at any point
+// leaves either the old checkpoint or the complete new one — never a
+// torn or unlinked file. A failed write leaves the old checkpoint
+// byte-intact and no temp file behind.
+func WriteCheckpointFile(path string, m *Model, st *detect.StreamState, cursor int64, analytics []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = SaveCheckpointState(f, m, st, cursor, analytics)
+	if err == nil {
+		err = fileSync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a just-renamed file's directory entry
+// survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = fileSync(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -76,8 +79,8 @@ func checkpointCorpus() []logging.Record {
 }
 
 // TestCheckpointRestoreByteIdenticalReport kills a streaming detector
-// mid-corpus, persists model + in-flight state through SaveCheckpoint,
-// restores both in a "new process" via LoadCheckpoint, and finishes the
+// mid-corpus, persists model + in-flight state through SaveCheckpointState,
+// restores both in a "new process" via LoadCheckpointState, and finishes the
 // corpus: every finding and the final summary must be byte-identical to
 // an uninterrupted run.
 func TestCheckpointRestoreByteIdenticalReport(t *testing.T) {
@@ -114,16 +117,16 @@ func TestCheckpointRestoreByteIdenticalReport(t *testing.T) {
 		all = append(all, sd.Consume(r)...)
 	}
 	var ckpt bytes.Buffer
-	if err := SaveCheckpoint(&ckpt, m, sd.State()); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
+	if err := SaveCheckpointState(&ckpt, m, sd.State(), 0, nil); err != nil {
+		t.Fatalf("SaveCheckpointState: %v", err)
 	}
-	m2, st, err := LoadCheckpoint(&ckpt)
+	m2, st, _, _, err := LoadCheckpointState(&ckpt)
 	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
+		t.Fatalf("LoadCheckpointState: %v", err)
 	}
-	sd2, err := m2.RestoreStream(cfg, st)
+	sd2, err := detect.RestoreStreamDetector(m2.Detector(), cfg, st)
 	if err != nil {
-		t.Fatalf("RestoreStream: %v", err)
+		t.Fatalf("RestoreStreamDetector: %v", err)
 	}
 	if sd2.Pending() != sd.Pending() {
 		t.Fatalf("restored Pending = %d, want %d", sd2.Pending(), sd.Pending())
@@ -159,8 +162,8 @@ func TestCheckpointIndentedFormResumes(t *testing.T) {
 		sd.Consume(r)
 	}
 	var compact bytes.Buffer
-	if err := SaveCheckpointAt(&compact, m, sd.State(), int64(cut)); err != nil {
-		t.Fatalf("SaveCheckpointAt: %v", err)
+	if err := SaveCheckpointState(&compact, m, sd.State(), int64(cut), nil); err != nil {
+		t.Fatalf("SaveCheckpointState: %v", err)
 	}
 	if n := bytes.Count(compact.Bytes(), []byte("\n")); n != 1 {
 		t.Fatalf("checkpoint spans %d lines, want one compact line", n)
@@ -172,13 +175,13 @@ func TestCheckpointIndentedFormResumes(t *testing.T) {
 
 	resume := func(ckpt []byte) string {
 		t.Helper()
-		m2, st, cursor, err := LoadCheckpointAt(bytes.NewReader(ckpt))
+		m2, st, cursor, _, err := LoadCheckpointState(bytes.NewReader(ckpt))
 		if err != nil {
-			t.Fatalf("LoadCheckpointAt: %v", err)
+			t.Fatalf("LoadCheckpointState: %v", err)
 		}
-		sd2, err := m2.RestoreStream(cfg, st)
+		sd2, err := detect.RestoreStreamDetector(m2.Detector(), cfg, st)
 		if err != nil {
-			t.Fatalf("RestoreStream: %v", err)
+			t.Fatalf("RestoreStreamDetector: %v", err)
 		}
 		var all []detect.Anomaly
 		for _, r := range recs[cursor:] {
@@ -202,22 +205,81 @@ func TestCheckpointCursorRoundTrip(t *testing.T) {
 	m := trainMini(t)
 	sd := detect.NewStream(m.Detector(), detect.StreamConfig{})
 	var buf bytes.Buffer
-	if err := SaveCheckpointAt(&buf, m, sd.State(), 4242); err != nil {
-		t.Fatalf("SaveCheckpointAt: %v", err)
+	if err := SaveCheckpointState(&buf, m, sd.State(), 4242, nil); err != nil {
+		t.Fatalf("SaveCheckpointState: %v", err)
 	}
-	if _, _, cur, err := LoadCheckpointAt(&buf); err != nil || cur != 4242 {
-		t.Fatalf("LoadCheckpointAt = cursor %d, err %v; want 4242, nil", cur, err)
+	if _, _, cur, _, err := LoadCheckpointState(&buf); err != nil || cur != 4242 {
+		t.Fatalf("LoadCheckpointState = cursor %d, err %v; want 4242, nil", cur, err)
+	}
+}
+
+// TestCheckpointFsyncFaultInjection simulates a disk that accepts
+// writes but dies at fsync: WriteCheckpointFile must surface the error,
+// leave the previous checkpoint byte-intact, and clean up its temp file
+// — the atomic-replace contract power loss depends on.
+func TestCheckpointFsyncFaultInjection(t *testing.T) {
+	m := trainMini(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "acme.ckpt")
+	recs := checkpointCorpus()
+	sd := detect.NewStream(m.Detector(), detect.StreamConfig{})
+	for _, r := range recs[:3] {
+		sd.Consume(r)
+	}
+	if err := WriteCheckpointFile(path, m, sd.State(), 3, nil); err != nil {
+		t.Fatalf("healthy checkpoint: %v", err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The disk dies. More records arrive; the checkpoint attempt must
+	// fail loudly and leave the good checkpoint alone.
+	dead := errors.New("injected fsync failure")
+	orig := fileSync
+	fileSync = func(*os.File) error { return dead }
+	defer func() { fileSync = orig }()
+
+	for _, r := range recs[3:6] {
+		sd.Consume(r)
+	}
+	if err := WriteCheckpointFile(path, m, sd.State(), 6, nil); !errors.Is(err, dead) {
+		t.Fatalf("WriteCheckpointFile under fsync failure = %v, want the injected error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("previous checkpoint gone after failed save: %v", err)
+	}
+	if !bytes.Equal(good, after) {
+		t.Fatal("failed checkpoint attempt modified the previous checkpoint")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed checkpoint left temp files behind: %v", tmps)
+	}
+
+	// Disk recovers; the next checkpoint goes through and advances.
+	fileSync = orig
+	if err := WriteCheckpointFile(path, m, sd.State(), 6, nil); err != nil {
+		t.Fatalf("post-recovery checkpoint: %v", err)
+	}
+	recovered, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(recovered, good) {
+		t.Fatal("post-recovery checkpoint did not advance past the pre-failure one")
 	}
 }
 
 func TestCheckpointRejectsBadInput(t *testing.T) {
-	if _, _, err := LoadCheckpoint(strings.NewReader("{")); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader("{")); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
-	if _, _, err := LoadCheckpoint(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, _, err := LoadCheckpoint(strings.NewReader(`{"version": 1}`)); err == nil {
+	if _, _, _, _, err := LoadCheckpointState(strings.NewReader(`{"version": 1}`)); err == nil {
 		t.Error("checkpoint without stream state accepted")
 	}
 }

@@ -166,11 +166,6 @@ func Bind(key *IntelKey, tokens []nlp.Token, ts time.Time, session, raw string) 
 	return m
 }
 
-// BindRaw tokenizes raw message text and binds it to the key.
-func BindRaw(key *IntelKey, ts time.Time, session, raw string) *Message {
-	return Bind(key, nlp.Tokenize(raw), ts, session, raw)
-}
-
 // CachedLookup is the per-raw-message memo callers attach to a
 // spell.LookupCache entry: the token split, and — when the message bound
 // to a natural-language key — the bound prototype whose per-record copies

@@ -130,27 +130,6 @@ func NewBuilder(keys []*extract.IntelKey) *Builder {
 // ValueInterner.InternMessage so Algorithm 2 skips string interning.
 func (b *Builder) Values() *ValueInterner { return b.values }
 
-// GroupMessages partitions a session's messages by entity group,
-// preserving order and recording each message's session index. A message
-// belongs to every group its Intel Key belongs to.
-func (b *Builder) GroupMessages(msgs []*extract.Message) (map[string][]*extract.Message, map[string]Span) {
-	byGroup := map[string][]*extract.Message{}
-	spans := map[string]Span{}
-	for idx, m := range msgs {
-		for _, g := range b.KeyGroups[m.KeyID] {
-			byGroup[g] = append(byGroup[g], m)
-			sp, ok := spans[g]
-			if !ok {
-				spans[g] = Span{First: idx, Last: idx}
-			} else {
-				sp.Last = idx
-				spans[g] = sp
-			}
-		}
-	}
-	return byGroup, spans
-}
-
 // AddSession folds one training session (its Intel Messages in log order)
 // into the model: group lifespans feed the relation tracker, and each
 // group's messages are split into subroutine instances (Algorithm 2)

@@ -45,9 +45,6 @@ type Instance struct {
 	// builds the string at all.
 	sig   string
 	sigOK bool
-	// vals is the run's dense-ID → value table, shared by every instance
-	// of one AssignInstances call (for IDValues).
-	vals []string
 }
 
 // bit reports whether dense value id is in the instance's set.
@@ -64,18 +61,6 @@ func (in *Instance) setBit(id int) {
 	}
 	in.bits[w] |= 1 << (id & 63)
 	in.nIDs++
-}
-
-// IDValues returns the instance's identifier values (the S_v), sorted.
-func (in *Instance) IDValues() []string {
-	out := make([]string, 0, in.nIDs)
-	for id, v := range in.vals {
-		if in.bit(id) {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Signature returns the instance's subroutine signature: the sorted
@@ -108,8 +93,7 @@ func AssignInstances(msgs []*extract.Message) []*Instance {
 // across runs. Identifier values arrive pre-interned on the messages
 // (ValueInterner ids, cached per distinct rendering); each run remaps
 // them to run-dense ids through an epoch-stamped array, so the hot loop
-// never hashes a string. The returned instances (and their IDValues) are
-// only valid until the next Assign call on the same Assigner; callers
+// never hashes a string. The returned instances are only valid until the next Assign call on the same Assigner; callers
 // that retain instances must use AssignInstances.
 type Assigner struct {
 	vi    *ValueInterner
@@ -117,7 +101,6 @@ type Assigner struct {
 	g2r   []int32 // interner id → run-dense id, valid when stamp matches
 	stamp []int   // runID that last assigned g2r's entry
 
-	vals    []string      // run-dense id → value
 	byValue [][]*Instance // run-dense id → instances containing it, creation order
 	setIDs  []int         // per message: deduped run-dense ids of the set
 	setCnt  []int         // occurrence count per entry of setIDs (sets can
@@ -168,7 +151,6 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 		a.vi = NewValueInterner()
 	}
 	a.runID++
-	a.vals = a.vals[:0]
 	a.byValue = a.byValue[:0]
 	// The previous run's instances are contractually dead once Assign is
 	// called again; recycle them (with their backing arrays) instead of
@@ -199,7 +181,7 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 		ii := m.Interned()
 		if ii == nil || ii.Owner != a.vi {
 			// Message bound outside the model's prewarm path (e.g. an
-			// uncached BindSession miss): intern now, uncached.
+			// uncached BindSessionCached miss): intern now, uncached.
 			ii = a.vi.internSet(set)
 		}
 		setIDs, setCnt := a.setIDs[:0], a.setCnt[:0]
@@ -213,9 +195,8 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 				id = a.g2r[gid]
 			} else {
 				a.stamp[gid] = a.runID
-				id = int32(len(a.vals))
+				id = int32(len(a.byValue))
 				a.g2r[gid] = id
-				a.vals = append(a.vals, ii.Vals[i])
 				if len(a.byValue) < cap(a.byValue) {
 					// Reuse the expired run's posting-list backing array.
 					a.byValue = a.byValue[:id+1]
@@ -249,9 +230,6 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 		a.mergeTypes(target, m)
 		target.Msgs = append(target.Msgs, m)
 		lastMsg, lastTarget = m, target
-	}
-	for _, in := range instances {
-		in.vals = a.vals
 	}
 	a.instances = instances
 	if len(none.Msgs) == 0 {

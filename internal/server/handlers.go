@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"time"
 
 	"intellog/internal/detect"
 	"intellog/internal/logging"
@@ -172,9 +173,9 @@ func batchSizeHint(contentLength int64) int {
 	}
 }
 
-// handleIngest accepts an NDJSON batch of records and queues it for the
-// tenant's worker. A full queue answers 429 with Retry-After — the
-// bounded-buffering contract: the server never absorbs more than the
+// handleIngest decodes an NDJSON batch of records and hands it to the
+// tenant's admission point. A full queue answers 429 with Retry-After —
+// the bounded-buffering contract: the server never absorbs more than the
 // configured budget per tenant.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -185,18 +186,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	fw := s.cfg.DefaultFramework
-	formatter := t.formatter
-	if q := r.URL.Query().Get("framework"); q != "" {
-		fw = logging.Framework(q)
-		if !fw.Known() {
-			httpError(w, http.StatusBadRequest, "unknown framework %q", q)
-			return
-		}
-		// Raw lines parse through the requested framework's formatter,
-		// not the tenant default — the parameter applies to both wire
-		// forms or not at all.
-		formatter = logging.FormatterFor(fw)
+	fw, formatter, ok := s.frameworkParam(w, r, t)
+	if !ok {
+		return
 	}
 
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -209,19 +201,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	scanner.Buffer(sb, s.scanLineLimit())
 	// Decode into a rented batch, pre-sized from the request size (~wire
 	// bytes per record) so append doesn't re-copy the record array. The
-	// handler owns it until enqueueBatch accepts it; every refusal path
-	// below must release it.
+	// handler owns it until admit takes it; a read failure before then
+	// must release it.
 	b := s.batches.Get()
 	b.Grow(batchSizeHint(r.ContentLength))
-	resolver := &batchResolver{
-		intern: &wireIntern{},
-		msg: func(b []byte) string {
-			if canon, _, _, ok := t.det.Cache.Peek(b); ok {
-				return canon
-			}
-			return string(b)
-		},
-	}
+	resolver := t.resolver()
 	skipped := 0
 	var dead []wal.DeadLetter
 	for scanner.Scan() {
@@ -254,36 +238,39 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	t.skipped.Add(uint64(skipped))
-
-	// A batch larger than the whole queue budget can never be admitted;
-	// a retryable 429 would send well-behaved clients (the replay client
-	// included) into a futile retry loop, so refuse it outright.
-	accepted := b.Len()
-	if accepted > s.cfg.QueueRecords {
-		b.Release()
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d records exceeds tenant %s's whole queue budget (%d) and can never be admitted; split the batch",
-			accepted, t.name, s.cfg.QueueRecords)
+	v := t.admit(b, skipped, dead)
+	if v.Status != http.StatusAccepted {
+		refuse(w, v)
 		return
 	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
-		httpError(w, http.StatusInternalServerError,
-			"tenant %s write-ahead log failed; batch not accepted: %v", t.name, err)
-		return
-	}
-	if !ok {
-		b.Release()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"tenant %s ingest queue full (%d records budget); retry later", t.name, s.cfg.QueueRecords)
-		return
-	}
-	t.deadLetter(dead)
 	writeJSON(w, http.StatusAccepted,
-		IngestResponse{Accepted: accepted, Skipped: skipped, DeadLettered: len(dead)})
+		IngestResponse{Accepted: v.Accepted, Skipped: skipped, DeadLettered: len(dead)})
+}
+
+// refuse writes a refused admission verdict, with the retry hint on 429.
+func refuse(w http.ResponseWriter, v admission) {
+	if v.Status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	}
+	httpError(w, v.Status, "%s", v.Msg)
+}
+
+// frameworkParam resolves the request's ?framework= override: the
+// framework stamped on records that carry none, and the formatter raw
+// lines parse through — the parameter applies to both wire forms or not
+// at all. Without it, the server default and the tenant's formatter
+// apply. ok is false after an unknown name was answered with 400.
+func (s *Server) frameworkParam(w http.ResponseWriter, r *http.Request, t *tenant) (logging.Framework, logging.Formatter, bool) {
+	q := r.URL.Query().Get("framework")
+	if q == "" {
+		return s.cfg.DefaultFramework, t.formatter, true
+	}
+	fw := logging.Framework(q)
+	if !fw.Known() {
+		httpError(w, http.StatusBadRequest, "unknown framework %q", q)
+		return "", nil, false
+	}
+	return fw, logging.FormatterFor(fw), true
 }
 
 // scanLineLimit is the ingest scanner's maximum token size: every line
@@ -331,16 +318,24 @@ func (s *Server) classifyLine(t *tenant, raw []byte, fw logging.Framework,
 		return rec, lineRecord, ""
 	}
 	rec := wr.Record
+	verdict, reason := checkRecord(&rec, fw)
+	return rec, verdict, reason
+}
+
+// checkRecord applies the structured-record rules both wires share,
+// after each wire's own size cap: a record with no message dead-letters,
+// one with no session is skipped, and one with no framework takes fw.
+func checkRecord(rec *logging.Record, fw logging.Framework) (lineVerdict, string) {
 	if rec.Message == "" {
-		return logging.Record{}, lineDead, "record has no message (and no raw line)"
+		return lineDead, "record has no message"
 	}
 	if rec.SessionID == "" {
-		return logging.Record{}, lineSkip, ""
+		return lineSkip, ""
 	}
 	if rec.Framework == "" {
 		rec.Framework = fw
 	}
-	return rec, lineRecord, ""
+	return lineRecord, ""
 }
 
 // parseLine parses one raw log line through the given formatter and the
@@ -548,8 +543,8 @@ func (s *Server) handleDLQ(w http.ResponseWriter, r *http.Request) {
 // a tight record cap are requeued after the cap is raised, or after a
 // client bug producing bad JSON is fixed and the lines hand-edited).
 // Entries that still fail stay in the queue untouched. A full ingest
-// queue aborts with 429 before anything is removed, so no entry is ever
-// lost to backpressure.
+// queue aborts with 429 (a failed WAL with 500) before anything is
+// removed, so no entry is ever lost to backpressure or a dying disk.
 func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -559,15 +554,9 @@ func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	fw := s.cfg.DefaultFramework
-	formatter := t.formatter
-	if q := r.URL.Query().Get("framework"); q != "" {
-		fw = logging.Framework(q)
-		if !fw.Known() {
-			httpError(w, http.StatusBadRequest, "unknown framework %q", q)
-			return
-		}
-		formatter = logging.FormatterFor(fw)
+	fw, formatter, ok := s.frameworkParam(w, r, t)
+	if !ok {
+		return
 	}
 	var req RequeueRequest
 	if r.ContentLength != 0 {
@@ -599,26 +588,9 @@ func (s *Server) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 		b.Append(rec)
 		okSeqs = append(okSeqs, e.Seq)
 	}
-	if b.Len() > s.cfg.QueueRecords {
-		n := b.Len()
-		b.Release()
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"%d requeueable records exceed tenant %s's whole queue budget (%d); requeue a subset via seqs",
-			n, t.name, s.cfg.QueueRecords)
-		return
-	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
-		httpError(w, http.StatusInternalServerError,
-			"tenant %s write-ahead log failed; nothing requeued: %v", t.name, err)
-		return
-	}
-	if !ok {
-		b.Release()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"tenant %s ingest queue full; nothing requeued, retry later", t.name)
+	if v := t.admit(b, 0, nil); v.Status != http.StatusAccepted {
+		v.Msg = "nothing requeued: " + v.Msg
+		refuse(w, v)
 		return
 	}
 	t.dlq.Remove(okSeqs)

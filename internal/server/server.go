@@ -1,12 +1,16 @@
-// Package server is intellogd's serving layer: a multi-tenant HTTP
-// front-end over the streaming detector. Each tenant is a trained core
-// model whose log stream is ingested as NDJSON batches on /v1/ingest,
-// consumed by a dedicated worker through a detect.StreamDetector, and
-// queried back through cursor-paginated anomaly, report and HW-graph
-// endpoints. Production concerns are first-class: per-tenant bounded
-// ingest queues with 429 admission control, a background checkpointer
-// built on core.SaveCheckpoint so a restart resumes mid-stream, an LRU
-// cap on resident tenants, Prometheus metrics and pprof.
+// Package server is intellogd's serving layer: a multi-tenant front-end
+// over the streaming detector. Each tenant is a trained core model whose
+// log stream arrives as NDJSON batches on /v1/ingest or as ILS1 frames
+// on the binary listener. Both transports — and DLQ requeue — decode,
+// then hand the batch to the tenant's one admission point (admit), which
+// queues it onto a session-sharded worker pool feeding a
+// detect.StreamDetector; findings are queried back through
+// cursor-paginated anomaly, report and HW-graph endpoints. Production
+// concerns are first-class: per-tenant bounded ingest queues with 429
+// admission control, a write-ahead log and dead-letter queue, a
+// background checkpointer built on core.WriteCheckpointFile so a restart
+// resumes mid-stream, an LRU cap on resident tenants, Prometheus metrics
+// and pprof.
 package server
 
 import (
@@ -200,6 +204,9 @@ type Server struct {
 // until first use).
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
+	if !cfg.DefaultFramework.Known() {
+		return nil, fmt.Errorf("unknown default framework %q", cfg.DefaultFramework)
+	}
 	if _, err := wal.ParseSyncPolicy(cfg.WALSync); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -45,6 +46,22 @@ func testRecords(session string, n int) []logging.Record {
 		}
 	}
 	return recs
+}
+
+// enqueueRecords admits a plain record slice through the tenant's
+// admission point, copied into a rented batch: (true, nil) when queued,
+// (false, nil) on 429, an error carrying the verdict otherwise.
+func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
+	b := t.srv.batches.Get()
+	b.Recs = append(b.Recs, recs...)
+	switch v := t.admit(b, 0, nil); v.Status {
+	case http.StatusAccepted:
+		return true, nil
+	case http.StatusTooManyRequests:
+		return false, nil
+	default:
+		return false, fmt.Errorf("admission refused (%d): %s", v.Status, v.Msg)
+	}
 }
 
 // TestBackpressure429 fills a tiny ingest queue behind a gated worker and
@@ -417,6 +434,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics scrape missing %q", want)
 		}
+	}
+}
+
+// TestNewRejectsUnknownDefaultFramework: a server default framework is
+// stamped onto every record that carries none, so an unknown one must
+// fail at boot, as ?framework= and an ILS1 Hello naming it already do.
+func TestNewRejectsUnknownDefaultFramework(t *testing.T) {
+	if _, err := New(Config{ModelDir: t.TempDir(), DefaultFramework: "bogus"}); err == nil {
+		t.Fatal("New accepted default framework \"bogus\"")
+	}
+	for _, fw := range []logging.Framework{"", logging.Spark, logging.YarnRM} {
+		s, err := New(Config{ModelDir: t.TempDir(), DefaultFramework: fw})
+		if err != nil {
+			t.Fatalf("New with default framework %q: %v", fw, err)
+		}
+		s.Close()
 	}
 }
 

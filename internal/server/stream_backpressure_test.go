@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,6 +148,67 @@ func TestStreamGoBackN(t *testing.T) {
 
 	if got := tnt.records.Load(); got != 130 {
 		t.Fatalf("tenant accepted %d records, want 130 (no loss, no duplication)", got)
+	}
+}
+
+// TestSkippedCountedOnceAcrossRetry pins skipped-record accounting to
+// admission: on each wire, a batch carrying one session-less record is
+// refused with 429 behind parked workers, then accepted on retry, and
+// intellogd_ingest_skipped_total reads 1 — the refused attempt must not
+// count it.
+func TestSkippedCountedOnceAcrossRetry(t *testing.T) {
+	for _, wire := range []string{"ndjson", "ils1"} {
+		t.Run(wire, func(t *testing.T) {
+			s, addr := bootStreamServer(t, Config{QueueRecords: 100})
+			hs := httptest.NewServer(s.Handler())
+			defer hs.Close()
+			c := &Client{Base: hs.URL, Tenant: "acme"}
+			tnt, err := s.Tenant("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			send := c.IngestRecords
+			if wire == "ils1" {
+				sc, err := c.DialStream(addr, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sc.Close()
+				send = sc.Send
+			}
+
+			started, release := make(chan struct{}), make(chan struct{})
+			go tnt.control(func() {
+				close(started)
+				<-release
+			}, true)
+			<-started
+			if _, err := send(sparkRecs("sess-a", 60)); err != nil {
+				t.Fatalf("first batch refused: %v", err)
+			}
+			orphan := logging.Record{Message: "a line with no session", Framework: logging.Spark}
+			batch := append(sparkRecs("sess-b", 60), orphan)
+			var qf ErrQueueFull
+			if _, err := send(batch); !errors.As(err, &qf) {
+				t.Fatalf("over-budget batch: err = %v, want ErrQueueFull", err)
+			}
+
+			close(release)
+			if !tnt.control(func() {}, true) {
+				t.Fatal("drain barrier refused")
+			}
+			resp, err := send(batch)
+			if err != nil || resp.Accepted != 60 || resp.Skipped != 1 {
+				t.Fatalf("retried batch: resp=%+v err=%v, want 60 accepted, 1 skipped", resp, err)
+			}
+			text, err := c.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := `intellogd_ingest_skipped_total{tenant="acme"} 1`; !strings.Contains(text, want) {
+				t.Fatalf("metrics scrape missing %q", want)
+			}
+		})
 	}
 }
 

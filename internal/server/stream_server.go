@@ -148,21 +148,7 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	// The per-connection resolver: small fields dedup through a bounded
-	// intern table; message bytes resolve against the model's lookup
-	// cache first, so the overwhelmingly common repeat-rendering costs
-	// no allocation and the detector's own cache probe later hits the
-	// very same string.
-	intern := &wireIntern{}
-	resolver := &batchResolver{
-		intern: intern,
-		msg: func(b []byte) string {
-			if canon, _, _, ok := t.det.Cache.Peek(b); ok {
-				return canon
-			}
-			return string(b)
-		},
-	}
+	resolver := t.resolver()
 
 	// resyncSeq, when non-zero, is the refused frame the client must
 	// retransmit next; frames with any other seq bounce with 425 so the
@@ -216,73 +202,51 @@ func (s *Server) serveStreamConn(conn net.Conn) error {
 	}
 }
 
-// admitStreamBatch validates and enqueues one decoded batch, mirroring
-// handleIngest's admission rules record for record: an invalid record
-// (no message, oversized) dead-letters individually instead of failing
-// the frame, so one bad record no longer rejects its neighbors.
-//
-// It always takes ownership of the rented batch: enqueue consumes it on
-// acceptance, every refusal releases it before the ack goes back (a
-// refused frame is retransmitted and decoded into a fresh rental).
+// admitStreamBatch validates one decoded batch record by record — an
+// invalid record (no message, oversized) dead-letters individually
+// instead of failing the frame — and puts the tenant's admission verdict
+// into the frame's ack. It always takes ownership of the rented batch
+// (admit consumes or releases it; a refused frame is retransmitted and
+// decoded into a fresh rental).
 func (s *Server) admitStreamBatch(t *tenant, fw logging.Framework, seq uint64, b *batch.Batch) streamAck {
-	recs := b.Recs
-	kept := recs[:0]
+	kept := b.Recs[:0]
 	skipped := 0
 	var dead []wal.DeadLetter
-	for i := range recs {
-		if reason := s.validateStreamRecord(&recs[i]); reason != "" {
-			dead = append(dead, wal.DeadLetter{Reason: reason, Line: deadLetterLine(&recs[i])})
-			continue
+	for i := range b.Recs {
+		rec := &b.Recs[i]
+		// The size cap judges the string payload, the analogue of the
+		// NDJSON line cap.
+		verdict, reason := lineDead, ""
+		size := len(rec.Message) + len(rec.Source) + len(rec.SessionID) +
+			len(rec.TemplateID) + len(rec.Framework)
+		if size > s.cfg.MaxRecordBytes {
+			reason = fmt.Sprintf("record payload of %d bytes exceeds the %d-byte record cap",
+				size, s.cfg.MaxRecordBytes)
+		} else {
+			verdict, reason = checkRecord(rec, fw)
 		}
-		if recs[i].SessionID == "" {
+		switch verdict {
+		case lineRecord:
+			kept = append(kept, *rec)
+		case lineSkip:
 			skipped++
-			continue
+		case lineDead:
+			dead = append(dead, wal.DeadLetter{Reason: reason, Line: deadLetterLine(rec)})
 		}
-		if recs[i].Framework == "" {
-			recs[i].Framework = fw
-		}
-		kept = append(kept, recs[i])
 	}
 	b.Recs = kept
-	t.skipped.Add(uint64(skipped))
-	if len(kept) > s.cfg.QueueRecords {
-		b.Release()
-		return streamAck{Seq: seq, Status: ackTooLarge, Skipped: skipped,
-			Msg: "batch exceeds the tenant queue budget; split it"}
+	v := t.admit(b, skipped, dead)
+	ack := streamAck{Seq: seq, Status: v.Status, Skipped: skipped, Msg: v.Msg}
+	switch v.Status {
+	case ackAccepted:
+		ack.Accepted, ack.Dead = v.Accepted, len(dead)
+		s.reg.Counter("intellogd_stream_batches_total",
+			"binary ingest batches accepted, per tenant",
+			metrics.Label{Key: "tenant", Value: t.name}).Inc()
+	case ackQueueFull:
+		ack.RetryMs = int(retryAfter / time.Millisecond)
 	}
-	ok, err := t.enqueueBatch(b)
-	if err != nil {
-		b.Release()
-		return streamAck{Seq: seq, Status: ackShutdown, Skipped: skipped,
-			Msg: "write-ahead log failed; batch not accepted: " + err.Error()}
-	}
-	if !ok {
-		b.Release()
-		return streamAck{Seq: seq, Status: ackQueueFull, Skipped: skipped,
-			RetryMs: 1000, Msg: "ingest queue full"}
-	}
-	t.deadLetter(dead)
-	s.reg.Counter("intellogd_stream_batches_total",
-		"binary ingest batches accepted, per tenant",
-		metrics.Label{Key: "tenant", Value: t.name}).Inc()
-	return streamAck{Seq: seq, Status: ackAccepted,
-		Accepted: len(kept), Skipped: skipped, Dead: len(dead)}
-}
-
-// validateStreamRecord applies per-record validation to a structured
-// (binary-wire) record; a non-empty reason dead-letters it. Size is
-// judged on the string payload, the analogue of the NDJSON line cap.
-func (s *Server) validateStreamRecord(rec *logging.Record) string {
-	if rec.Message == "" {
-		return "record has no message"
-	}
-	size := len(rec.Message) + len(rec.Source) + len(rec.SessionID) +
-		len(rec.TemplateID) + len(rec.Framework)
-	if size > s.cfg.MaxRecordBytes {
-		return fmt.Sprintf("record payload of %d bytes exceeds the %d-byte record cap",
-			size, s.cfg.MaxRecordBytes)
-	}
-	return ""
+	return ack
 }
 
 // deadLetterLine renders a structured record as the NDJSON wire line

@@ -3,10 +3,11 @@ package server
 import (
 	"fmt"
 	"log"
-	"os"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"intellog/internal/analytics"
 	"intellog/internal/batch"
@@ -248,9 +249,6 @@ func (t *tenant) run(q chan task) {
 // route maps a session ID to its worker queue (FNV-1a, like the client's
 // replay sharding — any stable hash works; nothing persists it).
 func (t *tenant) route(session string) int {
-	if len(t.queues) == 1 {
-		return 0
-	}
 	h := uint32(2166136261)
 	for i := 0; i < len(session); i++ {
 		h ^= uint32(session[i])
@@ -259,21 +257,83 @@ func (t *tenant) route(session string) int {
 	return int(h % uint32(len(t.queues)))
 }
 
+// resolver builds the string resolver for one ingest request or
+// connection: small fields dedup through a bounded intern table, and
+// message bytes resolve against the model's lookup cache first, so the
+// overwhelmingly common repeat rendering costs no allocation and the
+// detector's own cache probe later hits the very same string.
+func (t *tenant) resolver() *batchResolver {
+	return &batchResolver{
+		intern: &wireIntern{},
+		msg: func(b []byte) string {
+			if canon, _, _, ok := t.det.Cache.Peek(b); ok {
+				return canon
+			}
+			return string(b)
+		},
+	}
+}
+
+// admission is the verdict of one admit call. Status is an HTTP code —
+// the ILS1 acks reuse the same vocabulary — so each transport maps it
+// onto its own reply without reinterpreting it.
+type admission struct {
+	Status   int    // 202, 413, 429 or 500
+	Msg      string // why a batch was refused; empty on 202
+	Accepted int    // records queued (202 only)
+}
+
+// retryAfter is the backoff a 429 asks for, on both wires.
+const retryAfter = time.Second
+
+// admit is the single admission point of every transport (NDJSON
+// ingest, ILS1 frames, DLQ requeue): it takes ownership of a decoded,
+// validated batch — skipped counts the records the transport dropped
+// for having no session, dead the records it refused per record — and
+// either queues the batch or refuses it whole. Only an admitted batch
+// touches the dead-letter queue and the skipped counter: a refused batch
+// is retried verbatim by the client, and counting or quarantining it now
+// would count it twice.
+func (t *tenant) admit(b *batch.Batch, skipped int, dead []wal.DeadLetter) admission {
+	n, budget := b.Len(), t.srv.cfg.QueueRecords
+	// A batch larger than the whole queue budget can never be admitted;
+	// a retryable 429 would send well-behaved clients into a futile retry
+	// loop, so refuse it outright.
+	if n > budget {
+		b.Release()
+		return admission{Status: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf(
+			"batch of %d records exceeds tenant %s's whole queue budget (%d) and can never be admitted; split the batch",
+			n, t.name, budget)}
+	}
+	ok, err := t.enqueueBatch(b)
+	if err != nil {
+		b.Release()
+		return admission{Status: http.StatusInternalServerError, Msg: fmt.Sprintf(
+			"tenant %s write-ahead log failed; batch not accepted: %v", t.name, err)}
+	}
+	if !ok {
+		b.Release()
+		return admission{Status: http.StatusTooManyRequests, Msg: fmt.Sprintf(
+			"tenant %s ingest queue full (%d records budget); retry later", t.name, budget)}
+	}
+	t.deadLetter(dead)
+	t.skipped.Add(uint64(skipped))
+	return admission{Status: http.StatusAccepted, Accepted: n}
+}
+
 // enqueueBatch admits a pooled record batch under the per-tenant budget.
 // Admission is two-staged: reserve record budget, then an all-or-nothing
 // placement of the batch's per-worker splits — if either stage fails the
-// batch is refused (the caller answers 429) and nothing is buffered, so
-// a saturated tenant holds at most QueueRecords records plus the
-// in-flight tasks, never an unbounded backlog. A non-nil error means the
+// batch is refused (admit answers 429) and nothing is buffered, so a
+// saturated tenant holds at most QueueRecords records plus the in-flight
+// tasks, never an unbounded backlog. A non-nil error means the
 // write-ahead append failed after admission succeeded: the batch is NOT
-// buffered and the caller must answer a hard failure (500/503), never an
-// ack — acking what the WAL could not hold would silently re-open the
-// crash window.
+// buffered and admit answers 500, never an ack — acking what the WAL
+// could not hold would silently re-open the crash window.
 //
 // Ownership: the batch is consumed (queued, ultimately released by a
 // worker) exactly when enqueueBatch returns (true, nil). On every other
-// outcome the caller still owns it — typically to release it after
-// writing the refusal.
+// outcome the caller still owns it.
 func (t *tenant) enqueueBatch(b *batch.Batch) (bool, error) {
 	if b.Len() == 0 {
 		b.Release()
@@ -304,21 +364,6 @@ func (t *tenant) enqueueBatch(b *batch.Batch) (bool, error) {
 	return true, nil
 }
 
-// enqueueRecords is enqueueBatch over a plain record slice: it copies
-// recs into a rented batch, admits it, and releases the rental itself
-// on refusal — for callers (WAL-less internal paths, tests) that don't
-// hold a rental of their own.
-func (t *tenant) enqueueRecords(recs []logging.Record) (bool, error) {
-	b := t.srv.batches.Get()
-	b.Grow(len(recs))
-	b.Recs = append(b.Recs, recs...)
-	ok, err := t.enqueueBatch(b)
-	if !ok || err != nil {
-		b.Release()
-	}
-	return ok, err
-}
-
 // sendBatch splits a batch by session route (preserving input order
 // within each split) and places the splits atomically: under routeMu
 // every target queue is checked for room before anything is sent, so
@@ -334,66 +379,48 @@ func (t *tenant) sendBatch(b *batch.Batch) (bool, error) {
 	if t.closed {
 		return false, nil
 	}
-	if len(t.queues) == 1 && t.wal == nil {
-		// No WAL: the single channel itself orders sends against control
-		// barriers, so the lock-free fast path stands.
-		select {
-		case t.queues[0] <- task{b: b}:
-			return true, nil
-		default:
-			return false, nil
-		}
-	}
-	if len(t.queues) == 1 {
-		t.routeMu.Lock()
-		defer t.routeMu.Unlock()
-		if len(t.queues[0]) >= cap(t.queues[0]) {
-			return false, nil
-		}
-		if err := t.walAppend(b.Recs); err != nil {
-			return false, err
-		}
-		t.queues[0] <- task{b: b}
-		return true, nil
-	}
-	// Multi-queue: copy each record into its route's own pooled
-	// sub-batch (input order preserved within a split), then place the
-	// splits atomically and recycle the original. Splits are rented
+	// With one queue the batch itself is the only split. With more, each
+	// record is copied into its route's own pooled sub-batch, rented
 	// lazily — a single-session batch costs one sub-batch, not one per
-	// queue.
-	split := make([]*batch.Batch, len(t.queues))
-	for i := range b.Recs {
-		w := t.route(b.Recs[i].SessionID)
-		if split[w] == nil {
-			split[w] = t.srv.batches.Get()
+	// queue — and the original is recycled once the splits are placed.
+	split := []*batch.Batch{b}
+	copied := len(t.queues) > 1
+	if copied {
+		split = make([]*batch.Batch, len(t.queues))
+		for i := range b.Recs {
+			w := t.route(b.Recs[i].SessionID)
+			if split[w] == nil {
+				split[w] = t.srv.batches.Get()
+			}
+			split[w].Append(b.Recs[i])
 		}
-		split[w].Append(b.Recs[i])
 	}
-	releaseSplits := func() {
+	reject := func(err error) (bool, error) {
 		for _, sb := range split {
-			if sb != nil {
+			if copied && sb != nil {
 				sb.Release()
 			}
 		}
+		return false, err
 	}
 	t.routeMu.Lock()
 	defer t.routeMu.Unlock()
 	for w, sb := range split {
 		if sb != nil && len(t.queues[w]) >= cap(t.queues[w]) {
-			releaseSplits()
-			return false, nil
+			return reject(nil)
 		}
 	}
 	if err := t.walAppend(b.Recs); err != nil {
-		releaseSplits()
-		return false, err
+		return reject(err)
 	}
 	for w, sb := range split {
 		if sb != nil {
 			t.queues[w] <- task{b: sb}
 		}
 	}
-	b.Release()
+	if copied {
+		b.Release()
+	}
 	return true, nil
 }
 
@@ -497,43 +524,17 @@ func (t *tenant) checkpointPath() string {
 	return filepath.Join(t.srv.cfg.StateDir, t.name+checkpointExt)
 }
 
-// fileSync flushes a file (or directory) to stable storage; a variable
-// so the checkpoint fault-injection test can simulate a dying disk.
-var fileSync = func(f *os.File) error { return f.Sync() }
-
-// syncParentDir fsyncs a directory so a just-renamed file's directory
-// entry survives power loss.
-func syncParentDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = fileSync(d)
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // saveCheckpoint persists the model plus current stream state
-// atomically and durably: the temp file is fsynced before the rename
-// and the state directory after it, so a power loss at any point leaves
-// either the old checkpoint or the complete new one — never a torn or
-// unlinked file. It must only run with the worker pool quiesced (inside
-// a control barrier, or after the workers have exited), so the snapshot
-// pairs with an exact position in the accepted ingest stream; walCut is
-// that position's WAL sequence (0 without a WAL), stamped into the
-// state so boot replay knows where coverage ends, and every WAL segment
-// it covers is truncated once the checkpoint is safely down.
+// atomically and durably (see core.WriteCheckpointFile). It must only
+// run with the worker pool quiesced (inside a control barrier, or after
+// the workers have exited), so the snapshot pairs with an exact position
+// in the accepted ingest stream; walCut is that position's WAL sequence
+// (0 without a WAL), stamped into the state so boot replay knows where
+// coverage ends, and every WAL segment it covers is truncated once the
+// checkpoint is safely down.
 func (t *tenant) saveCheckpoint(walCut uint64) error {
 	if t.srv.cfg.StateDir == "" {
 		return nil
-	}
-	path := t.checkpointPath()
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
 	}
 	st := t.sd.State()
 	// Carry the raw-line sessionizer's stickiness so a restored tenant
@@ -549,29 +550,9 @@ func (t *tenant) saveCheckpoint(walCut uint64) error {
 	// the engine state pairs exactly with the stream cut.
 	analyticsState, err := t.engine.StateJSON()
 	if err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	if err := core.SaveCheckpointState(f, t.model, st, 0, analyticsState); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := fileSync(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncParentDir(t.srv.cfg.StateDir); err != nil {
+	if err := core.WriteCheckpointFile(t.checkpointPath(), t.model, st, 0, analyticsState); err != nil {
 		return err
 	}
 	if t.wal != nil {

@@ -2,87 +2,110 @@ package server
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"intellog/internal/logging"
+	"intellog/internal/wal"
 )
 
-// TestCheckpointFsyncFaultInjection simulates a disk that accepts
-// writes but dies at fsync: saveCheckpoint must surface the error, leave
-// the previous checkpoint byte-intact, and clean up its temp file — the
-// atomic-replace contract power loss depends on.
-func TestCheckpointFsyncFaultInjection(t *testing.T) {
-	modelDir, stateDir := t.TempDir(), t.TempDir()
-	saveSparkModel(t, modelDir, "acme")
-	s, err := New(Config{ModelDir: modelDir, StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tn, err := s.Tenant("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := tn.enqueueRecords(testRecords("sess-1", 3)); err != nil || !ok {
-		t.Fatalf("enqueue: ok=%v err=%v", ok, err)
-	}
-	if !tn.controlCut(func(cut uint64) { err = tn.saveCheckpoint(cut) }, true) {
-		t.Fatal("control barrier refused")
-	}
-	if err != nil {
-		t.Fatalf("healthy checkpoint: %v", err)
-	}
-	good, err := os.ReadFile(tn.checkpointPath())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestWALFailureRefusesOnEveryWire kills the tenant's write-ahead log —
+// once closed, every later Append fails, and the failure sticks — and
+// drives each admission transport at it: NDJSON ingest answers 500, the
+// ILS1 ack is 500 (503 means draining, not a dying disk), and requeue
+// answers 500. In every case nothing is buffered, counted, dead-lettered
+// or removed from the DLQ, and the failed append is counted once.
+func TestWALFailureRefusesOnEveryWire(t *testing.T) {
+	noMessage := logging.Record{SessionID: "sess-a", Framework: logging.Spark}
+	recs := append(sparkRecs("sess-a", 3), noMessage)
+	for _, wire := range []string{"ndjson", "ils1", "requeue"} {
+		t.Run(wire, func(t *testing.T) {
+			s, addr := bootStreamServer(t, Config{StateDir: t.TempDir()})
+			hs := httptest.NewServer(s.Handler())
+			defer hs.Close()
+			c := &Client{Base: hs.URL, Tenant: "acme"}
+			tn, err := s.Tenant("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire == "requeue" {
+				// A requeueable entry, quarantined before the disk died.
+				line := deadLetterLine(&sparkRecs("sess-r", 1)[0])
+				if err := tn.dlq.Add([]wal.DeadLetter{{Reason: "test", Line: line}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			depth := tn.dlq.Depth()
+			tn.wal.Close()
 
-	// The disk dies. More records arrive; the checkpoint attempt must
-	// fail loudly and leave the good checkpoint alone.
-	dead := errors.New("injected fsync failure")
-	orig := fileSync
-	fileSync = func(*os.File) error { return dead }
-	defer func() { fileSync = orig }()
+			var status int
+			switch wire {
+			case "ndjson":
+				var body bytes.Buffer
+				enc := json.NewEncoder(&body)
+				for i := range recs {
+					if err := enc.Encode(&recs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				status = postStatus(t, hs.URL+"/v1/ingest?tenant=acme", &body)
+			case "ils1":
+				sc, err := c.DialStream(addr, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sc.Close()
+				if err := sc.sendBatchFrame(1, recs); err != nil {
+					t.Fatal(err)
+				}
+				if err := sc.bw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				ack, err := sc.readAck()
+				if err != nil {
+					t.Fatal(err)
+				}
+				status = ack.Status
+			case "requeue":
+				status = postStatus(t, hs.URL+"/v1/dlq/requeue?tenant=acme", nil)
+			}
 
-	if ok, err := tn.enqueueRecords(testRecords("sess-2", 3)); err != nil || !ok {
-		t.Fatalf("enqueue: ok=%v err=%v", ok, err)
+			if status != http.StatusInternalServerError {
+				t.Fatalf("status under WAL failure = %d, want 500", status)
+			}
+			if got := tn.pending.Load(); got != 0 {
+				t.Fatalf("pending records = %d after the refusal, want 0", got)
+			}
+			if got := tn.records.Load(); got != 0 {
+				t.Fatalf("accepted records = %d after the refusal, want 0", got)
+			}
+			if got := tn.dlq.Depth(); got != depth {
+				t.Fatalf("DLQ depth = %d after the refusal, want %d", got, depth)
+			}
+			text, err := c.Metrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := `intellogd_wal_append_errors_total{tenant="acme"} 1`; !strings.Contains(text, want) {
+				t.Fatalf("metrics scrape missing %q", want)
+			}
+		})
 	}
-	var saveErr error
-	if !tn.controlCut(func(cut uint64) { saveErr = tn.saveCheckpoint(cut) }, true) {
-		t.Fatal("control barrier refused")
-	}
-	if !errors.Is(saveErr, dead) {
-		t.Fatalf("saveCheckpoint under fsync failure = %v, want the injected error", saveErr)
-	}
-	after, err := os.ReadFile(tn.checkpointPath())
-	if err != nil {
-		t.Fatalf("previous checkpoint gone after failed save: %v", err)
-	}
-	if !bytes.Equal(good, after) {
-		t.Fatal("failed checkpoint attempt modified the previous checkpoint")
-	}
-	if tmps, _ := filepath.Glob(filepath.Join(stateDir, "*.tmp")); len(tmps) != 0 {
-		t.Fatalf("failed checkpoint left temp files behind: %v", tmps)
-	}
+}
 
-	// Disk recovers; the next checkpoint goes through and advances.
-	fileSync = orig
-	if !tn.controlCut(func(cut uint64) { saveErr = tn.saveCheckpoint(cut) }, true) {
-		t.Fatal("control barrier refused")
-	}
-	if saveErr != nil {
-		t.Fatalf("post-recovery checkpoint: %v", saveErr)
-	}
-	recovered, err := os.ReadFile(tn.checkpointPath())
+// postStatus POSTs body (nil for none) and returns the response status.
+func postStatus(t *testing.T, url string, body io.Reader) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/x-ndjson", body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(recovered, good) {
-		t.Fatal("post-recovery checkpoint did not advance past the pre-failure one")
-	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestStreamDeadLetterAck drives the binary wire with a batch holding an

@@ -48,11 +48,12 @@ const (
 )
 
 // Ack statuses (HTTP codes where one exists, so the two wire forms stay
-// one vocabulary).
+// one vocabulary). A batch ack carries the tenant's admission verdict
+// as is: 202, 413 (over the whole queue budget), 429, or 500 (the
+// write-ahead log failed).
 const (
 	ackAccepted   = 202 // batch queued
 	ackBadRecord  = 400 // malformed record (empty message)
-	ackTooLarge   = 413 // batch exceeds the whole queue budget
 	ackRetryEarly = 425 // refused: an earlier refused frame must be resent first
 	ackQueueFull  = 429 // admission refused, retry after retryMs
 	ackShutdown   = 503 // server draining; the connection is closing

@@ -1,21 +1,9 @@
 package sim
 
-import "sort"
-
 // Ground-truth export for the conformance harness: the simulator knows
 // exactly which sessions a fault touched (JobResult.Affected), and the
 // harness scores detection against that annotation. These helpers give
 // the annotation a deterministic, aggregate shape.
-
-// AffectedIDs returns the fault-touched session IDs of one job, sorted.
-func (r *JobResult) AffectedIDs() []string {
-	out := make([]string, 0, len(r.Affected))
-	for id := range r.Affected {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // SessionIDs returns every session ID of one job, in session order.
 func (r *JobResult) SessionIDs() []string {

@@ -27,7 +27,7 @@ import (
 // fill).
 //
 // The cache is only sound while the parser's keys are no longer being
-// refined — i.e. after training, which is exactly when BindSession and
+// refined — i.e. after training, which is exactly when BindSessionCached and
 // the detectors run. It is safe for concurrent use; hits take only a
 // read lock while the cache is under half capacity (recency order is
 // irrelevant until eviction is near), so concurrent readers do not
