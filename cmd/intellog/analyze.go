@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"intellog/internal/analytics"
+	"intellog/internal/logging"
 )
 
 // cmdAnalyze runs the offline analytics pass: detect anomalies in a log
@@ -28,7 +29,7 @@ func cmdAnalyze(args []string) error {
 	asJSON := fs.Bool("json", false, "dump the full snapshot as JSON")
 	fs.Parse(args)
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		return err
 	}

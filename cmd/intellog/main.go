@@ -141,7 +141,7 @@ func cmdTrain(args []string) error {
 	threshold := fs.Float64("threshold", 1.7, "Spell matching threshold t")
 	fs.Parse(args)
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,7 @@ func cmdDetect(args []string) error {
 	model := fs.String("model", "model.json", "trained model file")
 	fs.Parse(args)
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		return err
 	}
@@ -282,7 +282,7 @@ func cmdQuery(args []string) error {
 	asJSON := fs.Bool("json", false, "dump matching Intel Messages as JSON")
 	fs.Parse(args)
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		return err
 	}
@@ -320,26 +320,5 @@ func printGroups(groups map[string]*intelstore.Store) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Printf("  %-40s %6d messages\n", k, groups[k].Len())
-	}
-}
-
-func parseFramework(s string) (logging.Framework, error) {
-	switch strings.ToLower(s) {
-	case "spark":
-		return logging.Spark, nil
-	case "mapreduce", "mr":
-		return logging.MapReduce, nil
-	case "tez":
-		return logging.Tez, nil
-	case "tensorflow", "tf":
-		return logging.TensorFlow, nil
-	case "flink":
-		return logging.Flink, nil
-	case "hdfs":
-		return logging.HDFS, nil
-	case "yarn-rm", "yarnrm":
-		return logging.YarnRM, nil
-	default:
-		return "", fmt.Errorf("unknown framework %q (want spark, mapreduce, tez, tensorflow, flink, hdfs or yarn-rm)", s)
 	}
 }

@@ -95,7 +95,8 @@ func TestTrainDetectStreamRoundTrip(t *testing.T) {
 }
 
 // TestParseFrameworkRoster pins the CLI's framework vocabulary,
-// including the flink / hdfs / yarn-rm simulators.
+// including the flink / hdfs / yarn-rm simulators. Every subcommand
+// resolves its -framework flag through logging.ParseFramework.
 func TestParseFrameworkRoster(t *testing.T) {
 	good := map[string]logging.Framework{
 		"spark":      logging.Spark,
@@ -111,16 +112,16 @@ func TestParseFrameworkRoster(t *testing.T) {
 		"yarnrm":     logging.YarnRM,
 	}
 	for in, want := range good {
-		fw, err := parseFramework(in)
+		fw, err := logging.ParseFramework(in)
 		if err != nil {
-			t.Errorf("parseFramework(%q): %v", in, err)
+			t.Errorf("ParseFramework(%q): %v", in, err)
 		} else if fw != want {
-			t.Errorf("parseFramework(%q) = %s, want %s", in, fw, want)
+			t.Errorf("ParseFramework(%q) = %s, want %s", in, fw, want)
 		}
 	}
 	for _, in := range []string{"hive", "yarn", "", "hdfs2"} {
-		if _, err := parseFramework(in); err == nil || !strings.Contains(err.Error(), "unknown framework") {
-			t.Errorf("parseFramework(%q) = %v, want unknown-framework error", in, err)
+		if _, err := logging.ParseFramework(in); err == nil || !strings.Contains(err.Error(), "unknown framework") {
+			t.Errorf("ParseFramework(%q) = %v, want unknown-framework error", in, err)
 		}
 	}
 }
@@ -185,6 +186,11 @@ func TestBadCorpusPaths(t *testing.T) {
 	if err := cmdTrain([]string{"-framework", "hive", "-logs", empty}); err == nil ||
 		!strings.Contains(err.Error(), "unknown framework") {
 		t.Fatalf("unknown framework: %v", err)
+	}
+	// bench-serve validates its framework before loading or replaying.
+	if err := cmdBenchServe([]string{"-framework", "sprak", "-logs", empty}); err == nil ||
+		!strings.Contains(err.Error(), "unknown framework") {
+		t.Fatalf("bench-serve unknown framework: %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func cmdBenchServe(args []string) error {
 		streamAddr  = fs.String("stream-addr", "127.0.0.1:7172", "binary protocol address (with -proto=stream)")
 		window      = fs.Int("window", 4, "pipelined frames per connection (with -proto=stream)")
 		tenant      = fs.String("tenant", "default", "tenant to ingest as")
-		framework   = fs.String("framework", "spark", "spark | mapreduce | tez")
+		framework   = fs.String("framework", "spark", "spark | mapreduce | tez | tensorflow | flink | hdfs | yarn-rm")
 		logs        = fs.String("logs", "", "directory of per-session .log files to replay")
 		aggregated  = fs.String("aggregated", "", "single aggregated log file to replay (alternative to -logs)")
 		batch       = fs.Int("batch", 256, "records per ingest request")
@@ -42,7 +42,10 @@ func cmdBenchServe(args []string) error {
 		return fmt.Errorf("bench-serve: exactly one of -logs or -aggregated is required")
 	}
 
-	fw := logging.Framework(*framework)
+	fw, err := logging.ParseFramework(*framework)
+	if err != nil {
+		return err
+	}
 	sessions, err := loadInput(fw, *logs, *aggregated)
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"intellog/internal/core"
 	"intellog/internal/detect"
@@ -14,12 +13,6 @@ import (
 	"intellog/internal/sim"
 )
 
-// cmdStream is the online mode of Fig. 2: consume an aggregated log
-// stream line by line, sessionize incrementally, report anomalies as they
-// are found, and finalize whatever is still in flight at EOF. Optional
-// flags bound memory (idle timeout, session/message caps), checkpoint the
-// detector so a restart resumes mid-stream, and fault-inject the input to
-// exercise robustness end to end.
 // validateStreamFlags rejects flag combinations the rest of cmdStream
 // would otherwise misread silently: out-of-range fault probabilities, a
 // fault seed with no fault enabled, or a checkpoint cadence with nowhere
@@ -56,6 +49,12 @@ func validateStreamFlags(fs *flag.FlagSet, truncate, corrupt, dup float64, reord
 	return nil
 }
 
+// cmdStream is the online mode of Fig. 2: consume an aggregated log
+// stream line by line, sessionize incrementally, report anomalies as they
+// are found, and finalize whatever is still in flight at EOF. Optional
+// flags bound memory (idle timeout, session/message caps), checkpoint the
+// detector so a restart resumes mid-stream, and fault-inject the input to
+// exercise robustness end to end.
 func cmdStream(args []string) error {
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
 	framework := fs.String("framework", "spark", "spark | mapreduce | tez | tensorflow | flink | hdfs | yarn-rm")
@@ -74,7 +73,7 @@ func cmdStream(args []string) error {
 	faultReorder := fs.Int("fault-reorder", 0, "bounded reordering window in lines (0 disables)")
 	fs.Parse(args)
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		return err
 	}
@@ -91,11 +90,10 @@ func cmdStream(args []string) error {
 	// Resume from a checkpoint when one exists; otherwise start fresh from
 	// the trained model.
 	var (
-		m           *core.Model
-		sd          *detect.StreamDetector
-		sticky      string // sessionizer state recovered from the checkpoint
-		lastTouched time.Time
-		cursor      int64 // raw input lines the checkpointed run already consumed
+		m        *core.Model
+		sd       *detect.StreamDetector
+		assigner logging.SessionAssigner
+		cursor   int64 // raw input lines the checkpointed run already consumed
 	)
 	if *checkpoint != "" {
 		if f, err := os.Open(*checkpoint); err == nil {
@@ -110,16 +108,8 @@ func cmdStream(args []string) error {
 				return fmt.Errorf("resume %s: %w", *checkpoint, err)
 			}
 			// Resume the sessionizer where ID-less records were sticking
-			// at the cut. Newer checkpoints record it exactly; for older
-			// ones fall back to the session touched last before the cut.
-			sticky = st.Sticky
-			if sticky == "" {
-				for _, sess := range st.Sessions {
-					if sticky == "" || sess.Last.After(lastTouched) {
-						sticky, lastTouched = sess.ID, sess.Last
-					}
-				}
-			}
+			// at the cut.
+			assigner.Resume(st.Sticky)
 			fmt.Printf("resumed from %s: %d in-flight sessions, %d seen, fast-forwarding %d lines\n",
 				*checkpoint, sd.Pending(), sd.SessionsSeen(), cursor)
 		}
@@ -152,8 +142,6 @@ func cmdStream(args []string) error {
 	}
 
 	formatter := logging.FormatterFor(fw)
-	assigner := logging.SessionAssigner{}
-	assigner.Resume(sticky)
 	findings := 0
 	emit := func(anomalies []detect.Anomaly) {
 		findings += len(anomalies)

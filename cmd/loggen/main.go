@@ -40,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fw, err := parseFramework(*framework)
+	fw, err := logging.ParseFramework(*framework)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,27 +152,6 @@ func run(fw logging.Framework, fk sim.FaultKind, hp workload.HostileProfile, job
 	fmt.Printf("wrote %d sessions (%d log messages) for %d %s jobs (fault=%s%s) to %s\n",
 		manifest.Sessions, total, jobs, fw, fk, hostileNote, out)
 	return nil
-}
-
-func parseFramework(s string) (logging.Framework, error) {
-	switch strings.ToLower(s) {
-	case "spark":
-		return logging.Spark, nil
-	case "mapreduce", "mr":
-		return logging.MapReduce, nil
-	case "tez":
-		return logging.Tez, nil
-	case "tensorflow", "tf":
-		return logging.TensorFlow, nil
-	case "flink":
-		return logging.Flink, nil
-	case "hdfs":
-		return logging.HDFS, nil
-	case "yarn-rm", "yarnrm":
-		return logging.YarnRM, nil
-	default:
-		return "", fmt.Errorf("unknown framework %q (want spark, mapreduce, tez, tensorflow, flink, hdfs or yarn-rm)", s)
-	}
 }
 
 func parseHostile(s string) (workload.HostileProfile, error) {

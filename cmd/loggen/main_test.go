@@ -1,9 +1,9 @@
 package main
 
 // CLI-level tests for loggen: flag parsing across the full framework
-// roster (including the new flink / hdfs / yarn-rm simulators), hostile
-// profile validation error paths, and the run() output contract —
-// per-session files + manifest, plus the aggregated hostile stream.
+// roster (including the flink / hdfs / yarn-rm simulators), hostile
+// profile validation error paths, and the run() output contract — per-session files + manifest, plus the
+// aggregated hostile stream.
 
 import (
 	"encoding/json"
@@ -17,6 +17,8 @@ import (
 	"intellog/internal/workload"
 )
 
+// TestParseFramework pins the -framework vocabulary loggen accepts; the
+// flag is resolved through logging.ParseFramework.
 func TestParseFramework(t *testing.T) {
 	good := map[string]logging.Framework{
 		"spark":      logging.Spark,
@@ -32,16 +34,16 @@ func TestParseFramework(t *testing.T) {
 		"yarnrm":     logging.YarnRM,
 	}
 	for in, want := range good {
-		fw, err := parseFramework(in)
+		fw, err := logging.ParseFramework(in)
 		if err != nil {
-			t.Errorf("parseFramework(%q): %v", in, err)
+			t.Errorf("ParseFramework(%q): %v", in, err)
 		} else if fw != want {
-			t.Errorf("parseFramework(%q) = %s, want %s", in, fw, want)
+			t.Errorf("ParseFramework(%q) = %s, want %s", in, fw, want)
 		}
 	}
 	for _, in := range []string{"hive", "yarn", "", "flinkk"} {
-		if _, err := parseFramework(in); err == nil || !strings.Contains(err.Error(), "unknown framework") {
-			t.Errorf("parseFramework(%q) = %v, want unknown-framework error", in, err)
+		if _, err := logging.ParseFramework(in); err == nil || !strings.Contains(err.Error(), "unknown framework") {
+			t.Errorf("ParseFramework(%q) = %v, want unknown-framework error", in, err)
 		}
 	}
 }

@@ -46,9 +46,6 @@ type Model struct {
 	// lookup memoizes raw message → Spell key across binding and
 	// detection; sound because the parser stops consuming after training.
 	lookup *spell.LookupCache
-	// values interns identifier values; prototypes cached in lookup carry
-	// interned sets from it, shared with the detector.
-	values *hwgraph.ValueInterner
 }
 
 // Train runs the full training pipeline over normal-execution sessions.
@@ -104,7 +101,6 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 				cl.Proto.IdentifierSet()
 				cl.Proto.IdentifierTypes()
 				cl.Proto.TypeSignature() // precompute; shared by every copy
-				builder.Values().InternMessage(cl.Proto)
 			}
 		}
 		cache.AddAux(msg, k, cl)
@@ -120,7 +116,6 @@ func Train(sessions []*logging.Session, cfg Config) *Model {
 		KeyGroups: builder.KeyGroups,
 		cfg:       cfg,
 		lookup:    cache,
-		values:    builder.Values(),
 	}
 }
 
@@ -188,7 +183,6 @@ func (m *Model) Detector() *detect.Detector {
 	if m.lookup != nil {
 		d.Cache = m.lookup
 	}
-	d.Values = m.values
 	d.CheckHierarchy = !m.cfg.DisableHierarchyCheck
 	d.CheckMissingGroups = !m.cfg.DisableMissingGroupCheck
 	if m.cfg.DisableCriticalKeys {

@@ -191,11 +191,6 @@ type Detector struct {
 	// Tokenize+Lookup work entirely. May be nil; NewDetector installs one.
 	Cache *spell.LookupCache
 
-	// Values is the model's identifier-value interner; prototypes carry
-	// interned identifier sets from it so Algorithm 2 never hashes value
-	// strings. May be nil (the assigners then intern per run).
-	Values *hwgraph.ValueInterner
-
 	// scratch pools per-worker detection state (Algorithm 2 assigner,
 	// group buckets, key-sequence buffers) across sessions; see
 	// sessionScratch. Detectors must not be copied once detection starts.
@@ -276,9 +271,7 @@ func (d *Detector) getScratch() *sessionScratch {
 	if v := d.scratch.Get(); v != nil {
 		return v.(*sessionScratch)
 	}
-	scr := &sessionScratch{buckets: map[string]*groupBucket{}}
-	scr.asn.SetValues(d.Values)
-	return scr
+	return &sessionScratch{buckets: map[string]*groupBucket{}}
 }
 
 func (d *Detector) putScratch(scr *sessionScratch) {
@@ -372,9 +365,6 @@ func (d *Detector) build(msg string) (key *spell.Key, cl *extract.CachedLookup) 
 			cl.Proto.IdentifierSet()
 			cl.Proto.IdentifierTypes()
 			cl.Proto.TypeSignature() // precompute; shared by every copy
-			if d.Values != nil {
-				d.Values.InternMessage(cl.Proto)
-			}
 		}
 	} else {
 		// Unmatched rendering: every repeat becomes an unexpected-message

@@ -43,32 +43,7 @@ type Message struct {
 	// "" from an uncomputed one). Shared by prototype copies like typeSet.
 	typeSig   string
 	typeSigOK bool
-	// interned caches the identifier multiset in interned form (set by
-	// the HW-graph layer's value interner); shared by prototype copies
-	// like idSet.
-	interned *InternedIDs
 }
-
-// InternedIDs is a message's identifier multiset in interned form: the
-// distinct values' dense ids and strings in idSet order, their occurrence
-// counts, and the multiset's total size. Owner identifies the interner
-// that assigned the ids; consumers must ignore a cache whose owner is not
-// theirs. All fields are read-only once set.
-type InternedIDs struct {
-	Owner  any
-	IDs    []int32
-	Vals   []string
-	Counts []int32
-	Total  int
-}
-
-// Interned returns the cached interned identifier set, or nil.
-func (m *Message) Interned() *InternedIDs { return m.interned }
-
-// SetInterned caches the interned identifier set. Call only while the
-// message is still private to one goroutine (i.e. at prototype build
-// time).
-func (m *Message) SetInterned(v *InternedIDs) { m.interned = v }
 
 // IdentifierSet returns the sorted set of all identifier values in the
 // message — the log.Sv of Algorithm 2. The result is cached on the

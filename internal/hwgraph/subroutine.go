@@ -90,16 +90,13 @@ func AssignInstances(msgs []*extract.Message) []*Instance {
 // detection call Algorithm 2 once per (session, group) pair — tens of
 // thousands of short runs — and the per-run value tables and instance
 // structs dominated the allocation profile, so an Assigner keeps them
-// across runs. Identifier values arrive pre-interned on the messages
-// (ValueInterner ids, cached per distinct rendering); each run remaps
-// them to run-dense ids through an epoch-stamped array, so the hot loop
-// never hashes a string. The returned instances are only valid until the next Assign call on the same Assigner; callers
-// that retain instances must use AssignInstances.
+// across runs. Algorithm 2 compares identifier values only within one
+// run, so the value table is run-scoped: ids are dense in first-sight
+// order and the table is cleared at the start of every Assign. The
+// returned instances are only valid until the next Assign call on the
+// same Assigner; callers that retain instances must use AssignInstances.
 type Assigner struct {
-	vi    *ValueInterner
-	runID int
-	g2r   []int32 // interner id → run-dense id, valid when stamp matches
-	stamp []int   // runID that last assigned g2r's entry
+	ids map[string]int32 // identifier value → run-dense id, this run only
 
 	byValue [][]*Instance // run-dense id → instances containing it, creation order
 	setIDs  []int         // per message: deduped run-dense ids of the set
@@ -110,14 +107,11 @@ type Assigner struct {
 	arena     []Instance  // chunked Instance allocation
 }
 
-// SetValues points the assigner at the model's value interner, so
-// message-cached interned ids (same owner) are used directly. A nil
-// interner is ignored.
-func (a *Assigner) SetValues(vi *ValueInterner) {
-	if vi != nil {
-		a.vi = vi
-	}
-}
+// maxKeptIDs is the widest run whose value table the next Assign clears
+// and reuses. Clearing a map costs its grown capacity, so after a wider
+// run the table is replaced instead, and one wide run does not tax every
+// later one.
+const maxKeptIDs = 1024
 
 // newInstance hands out a reset Instance: recycled from an expired run
 // when possible (keeping the grown Msgs/bits backing arrays), from the
@@ -147,10 +141,11 @@ func (a *Assigner) newInstance(ord int) *Instance {
 // subset-related candidate is exactly the instance the in-order scan
 // would have picked first.
 func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
-	if a.vi == nil {
-		a.vi = NewValueInterner()
+	if a.ids == nil || len(a.ids) > maxKeptIDs {
+		a.ids = make(map[string]int32)
+	} else {
+		clear(a.ids)
 	}
-	a.runID++
 	a.byValue = a.byValue[:0]
 	// The previous run's instances are contractually dead once Assign is
 	// called again; recycle them (with their backing arrays) instead of
@@ -178,25 +173,16 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 			lastMsg, lastTarget = m, none
 			continue
 		}
-		ii := m.Interned()
-		if ii == nil || ii.Owner != a.vi {
-			// Message bound outside the model's prewarm path (e.g. an
-			// uncached BindSessionCached miss): intern now, uncached.
-			ii = a.vi.internSet(set)
-		}
 		setIDs, setCnt := a.setIDs[:0], a.setCnt[:0]
-		for i, gid := range ii.IDs {
-			for int(gid) >= len(a.g2r) {
-				a.g2r = append(a.g2r, 0)
-				a.stamp = append(a.stamp, 0)
+		for i, v := range set {
+			if i > 0 && v == set[i-1] { // sorted: duplicates are adjacent
+				setCnt[len(setCnt)-1]++
+				continue
 			}
-			var id int32
-			if a.stamp[gid] == a.runID {
-				id = a.g2r[gid]
-			} else {
-				a.stamp[gid] = a.runID
+			id, ok := a.ids[v]
+			if !ok {
 				id = int32(len(a.byValue))
-				a.g2r[gid] = id
+				a.ids[v] = id
 				if len(a.byValue) < cap(a.byValue) {
 					// Reuse the expired run's posting-list backing array.
 					a.byValue = a.byValue[:id+1]
@@ -206,13 +192,13 @@ func (a *Assigner) Assign(msgs []*extract.Message) []*Instance {
 				}
 			}
 			setIDs = append(setIDs, int(id))
-			setCnt = append(setCnt, int(ii.Counts[i]))
+			setCnt = append(setCnt, 1)
 		}
 		a.setIDs, a.setCnt = setIDs, setCnt
 		var target *Instance
 		for _, id := range setIDs {
 			for _, in := range a.byValue[id] {
-				if (target == nil || in.ord < target.ord) && subsetRelated(setIDs, setCnt, ii.Total, in) {
+				if (target == nil || in.ord < target.ord) && subsetRelated(setIDs, setCnt, len(set), in) {
 					target = in
 				}
 			}

@@ -93,6 +93,30 @@ func (fw Framework) Known() bool {
 	return false
 }
 
+// ParseFramework maps a command-line framework name, case-insensitively
+// and with the short aliases mr, tf and yarnrm, to the simulated
+// frameworks a corpus can be generated, trained and replayed for.
+func ParseFramework(s string) (Framework, error) {
+	switch strings.ToLower(s) {
+	case "spark":
+		return Spark, nil
+	case "mapreduce", "mr":
+		return MapReduce, nil
+	case "tez":
+		return Tez, nil
+	case "tensorflow", "tf":
+		return TensorFlow, nil
+	case "flink":
+		return Flink, nil
+	case "hdfs":
+		return HDFS, nil
+	case "yarn-rm", "yarnrm":
+		return YarnRM, nil
+	default:
+		return "", fmt.Errorf("unknown framework %q (want spark, mapreduce, tez, tensorflow, flink, hdfs or yarn-rm)", s)
+	}
+}
+
 // Record is one parsed log message.
 type Record struct {
 	// Time is the log timestamp.

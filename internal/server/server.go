@@ -585,14 +585,6 @@ func (s *Server) registerGauges() {
 	s.reg.GaugeFunc("intellogd_lookup_cache_entries",
 		"renderings held by the model lookup cache per tenant",
 		perTenant(func(t *tenant) float64 { return float64(t.det.Cache.Len()) }))
-	s.reg.GaugeFunc("intellogd_value_interner_values",
-		"identifier values interned by the model per tenant (never shrinks)",
-		perTenant(func(t *tenant) float64 {
-			if t.det.Values == nil {
-				return 0
-			}
-			return float64(t.det.Values.Len())
-		}))
 	s.reg.CounterFunc("intellogd_wal_replayed_records",
 		"records recovered from the write-ahead log at tenant boot",
 		perTenant(func(t *tenant) float64 { return float64(t.walReplayed.Load()) }))

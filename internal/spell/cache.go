@@ -3,6 +3,7 @@ package spell
 import (
 	"container/list"
 	"hash/maphash"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 )
@@ -20,9 +21,9 @@ import (
 // Most distinct renderings of a live stream occur exactly once, because
 // they carry task, attempt or block IDs, and caching those only retains
 // memory that never pays back. Offer therefore admits on repeat: a
-// rendering's first offer records only its 8-byte hash in a fixed,
-// direct-mapped doorkeeper table, and the entry is stored when a later
-// offer finds that hash still in its slot. AddAux stays unconditional
+// rendering's first offer records only its 8-byte hash in a fixed
+// doorkeeper table, and the entry is stored when a later offer finds that
+// hash still there. AddAux stays unconditional
 // for callers that know every rendering will repeat (training's warm
 // fill).
 //
@@ -40,10 +41,12 @@ type LookupCache struct {
 	len          atomic.Int64 // mirrors ll.Len() for lock-free reads
 	hits, misses atomic.Uint64
 
-	// door is the admission doorkeeper: one maphash hash per slot,
-	// indexed by the hash's low bits. It is pointer-free, so the GC never
-	// scans it, and lock-free; a racing or colliding offer can only delay
-	// or hasten one admission, never corrupt an entry.
+	// door is the admission doorkeeper: one maphash hash per slot. Each
+	// hash has two candidate slots, indexed by its low and its high 32
+	// bits, so two renderings that share one slot and recur in turn
+	// cannot keep evicting each other's hash forever. It is pointer-free,
+	// so the GC never scans it, and lock-free; a racing or colliding offer
+	// can only delay or hasten one admission, never corrupt an entry.
 	seed maphash.Seed
 	door []atomic.Uint64
 }
@@ -161,15 +164,24 @@ func (c *LookupCache) AddHits(n uint64) {
 func (c *LookupCache) Add(msg string, key *Key) { c.AddAux(msg, key, nil) }
 
 // Offer is AddAux under admit-on-repeat: it stores the entry only if
-// msg's hash already sits in its doorkeeper slot, that is, if msg was
-// offered before and no other rendering has claimed the slot since.
-// Otherwise it records the hash and stores nothing. stored reports
-// whether the entry is now in the cache.
+// msg's hash already sits in one of its two doorkeeper slots, that is, if
+// msg was offered before and no other rendering has claimed that slot
+// since. Otherwise it records the hash in one of the two slots, picked at
+// random, and stores nothing. stored reports whether the entry is now in
+// the cache.
 func (c *LookupCache) Offer(msg string, key *Key, aux any) (stored bool) {
 	h := maphash.String(c.seed, msg)
-	slot := &c.door[h&uint64(len(c.door)-1)]
-	if slot.Load() != h {
-		slot.Store(h)
+	mask := uint64(len(c.door) - 1)
+	lo, hi := &c.door[h&mask], &c.door[(h>>32)&mask]
+	if lo.Load() != h && hi.Load() != h {
+		// A fixed choice would let two renderings that share this slot
+		// and recur in turn overwrite each other indefinitely; a random
+		// one lands in the unshared slot every other offer on average.
+		if rand.Uint32()&1 == 0 {
+			lo.Store(h)
+		} else {
+			hi.Store(h)
+		}
 		return false
 	}
 	c.AddAux(msg, key, aux)

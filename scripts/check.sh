@@ -30,6 +30,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# benchmark/ is its own module over the root one: vet it so a change to an
+# exported API it uses breaks here, not first in a benchmark run.
+echo "==> (cd benchmark && go vet ./...)"
+(cd benchmark && go vet ./...)
+
 echo "==> go build ./..."
 go build ./...
 
